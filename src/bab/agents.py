@@ -27,10 +27,10 @@ from pathlib import Path
 
 import requests
 
-from .engine import nearest_enemy_base, probe_ahead
+from .engine import base_objective, probe_ahead
 from .parsing import NO_COOP, Action, format_reply
-from .stages import derive_seed
-from .types import Goal, MOVE_DIRECTIONS, Orientation, Tank, WorldState
+from .stages import STAGE_PROTOCOLS, coop_active, derive_seed
+from .types import MOVE_DIRECTIONS, Orientation, Tank, WorldState
 
 API_KEY_ENV = "BAB_API_KEY"
 BASE_URL_ENV = "BAB_BASE_URL"
@@ -145,11 +145,11 @@ class RandomPolicy:
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
         action = self.rng.choice(ALL_ACTIONS)
         target = self._pick_target(world, agent_id)
-        coop = NO_COOP if self.coop_enabled else None
+        coop = NO_COOP if coop_active(world.config, self.coop_enabled) else None
         return ChatExchange(response=format_reply(self.stage_id, action, target, coop))
 
     def _pick_target(self, world: WorldState, agent_id: int) -> int:
-        if self.stage_id in (1, 2):
+        if not STAGE_PROTOCOLS[self.stage_id].targeted:
             return 0
         me = world.tanks[agent_id]
         enemies = [t.id for t in world.live_tanks() if t.team != me.team]
@@ -172,7 +172,7 @@ class GreedyPolicy:
         return ChatExchange(response=self._reply(world, me))
 
     def _reply(self, world: WorldState, me: Tank) -> str:
-        objective = self._objective(world, me)
+        objective = base_objective(world, me)
         action = Action.SHOOT
         if objective is not None and objective != me.pos:
             direction = self._direction_toward(me, objective)
@@ -183,14 +183,8 @@ class GreedyPolicy:
             else:
                 action = _MOVE_FOR[direction]
         target = self._target_id(world, me)
-        coop = NO_COOP if self.coop_enabled and self.stage_id in (3, 5, 6, 7) else None
+        coop = NO_COOP if coop_active(world.config, self.coop_enabled) else None
         return format_reply(self.stage_id, action, target, coop)
-
-    def _objective(self, world: WorldState, me: Tank):
-        if world.config.goal is Goal.NAVIGATION:
-            base = world.base_for_team(me.team)
-            return base.pos if base else None
-        return nearest_enemy_base(world, me)
 
     @staticmethod
     def _direction_toward(me: Tank, objective) -> Orientation:

@@ -89,10 +89,10 @@ def apply_shoot(world: WorldState, shooter_id: int) -> ShootOutcome:
         if cell is not None:
             world.walls.remove(*cell)
             return ShootOutcome("hit_wall", cell=(cell[0] * WALL_SIZE, cell[1] * WALL_SIZE))
-        target = _tank_at_point(world, px, py, exclude_id=shooter_id)
+        target = world.tank_at_rect(px, py, exclude_id=shooter_id, size=1)
         if target is not None:
             return _resolve_tank_hit(world, shooter, target)
-        base = _blocking_base_at_point(world, px, py)
+        base = world.blocking_base_at_rect(px, py, size=1)
         if base is not None:
             return _resolve_base_hit(world, shooter, base)
         px += dx * WALL_SIZE
@@ -111,24 +111,6 @@ def _ray_start(shooter: Tank) -> tuple[int, int]:
     if shooter.facing is Orientation.LEFT:
         return shooter.pos.x - WALL_SIZE, cy
     return shooter.pos.x + TANK_SIZE, cy
-
-
-def _tank_at_point(world: WorldState, x: int, y: int, exclude_id: int) -> Tank | None:
-    for t in world.tanks.values():
-        if not t.alive or t.id == exclude_id:
-            continue
-        if t.pos.x <= x < t.pos.x + TANK_SIZE and t.pos.y <= y < t.pos.y + TANK_SIZE:
-            return t
-    return None
-
-
-def _blocking_base_at_point(world: WorldState, x: int, y: int):
-    for b in world.bases.values():
-        if not b.blocking:
-            continue
-        if b.pos.x <= x < b.pos.x + TANK_SIZE and b.pos.y <= y < b.pos.y + TANK_SIZE:
-            return b
-    return None
 
 
 def _resolve_tank_hit(world: WorldState, shooter: Tank, target: Tank) -> ShootOutcome:
@@ -248,30 +230,25 @@ def _apply_action(world: WorldState, entity_id: int, action: Action) -> dict:
 def _objective_for(world: WorldState, agent: Tank, parsed: ParsedAction) -> Pos | None:
     """The position the agent is judged against this turn.
 
-    Navigation stages aim at the goal base. Combat stages aim at the
-    declared target when it names a live enemy tank, else the nearest
-    intact enemy base.
+    The declared target when it names a live enemy tank (only combat
+    replies name one), else the agent's base objective.
     """
+    target = world.tanks.get(parsed.target_id)
+    if target is not None and target.alive and not _same_team(agent, target):
+        return target.pos
+    return base_objective(world, agent)
+
+
+def base_objective(world: WorldState, agent: Tank) -> Pos | None:
+    """The goal base on navigation stages, else the nearest intact enemy
+    base (ties to the lower id); None when there is none."""
     if world.config.goal is Goal.NAVIGATION:
         base = world.base_for_team(agent.team)
         return base.pos if base is not None else None
-    if parsed.target_id is not None:
-        target = world.tanks.get(parsed.target_id)
-        if target is not None and target.alive and not _same_team(agent, target):
-            return target.pos
-    return nearest_enemy_base(world, agent)
-
-
-def nearest_enemy_base(world: WorldState, agent: Tank) -> Pos | None:
-    enemy = [
-        b
-        for b in world.bases.values()
-        if not b.destroyed and b.team != agent.team
-    ]
+    enemy = [b for b in world.bases.values() if not b.destroyed and b.team != agent.team]
     if not enemy:
         return None
-    best = min(enemy, key=lambda b: (agent.pos.l1(b.pos), b.id))
-    return best.pos
+    return min(enemy, key=lambda b: (agent.pos.l1(b.pos), b.id)).pos
 
 
 def check_termination(world: WorldState) -> tuple[EndReason, int | None] | None:

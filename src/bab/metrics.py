@@ -19,11 +19,10 @@ import io
 from dataclasses import dataclass, field
 from statistics import mean
 
+from .stages import STAGE_PROTOCOLS
 from .types import MOVE_DIRECTIONS, MOVE_STEP, Action, Pos, TurnRecord
 
 DENOMINATOR_MODES = ("moves", "formatted")
-
-NAV_STAGES = (1, 2)
 
 
 class MetricsError(Exception):
@@ -171,7 +170,9 @@ def compute_episode(
         m_acc=mean(m_accs) if m_accs else None,
         score=sum(p.score for p in primary),
         goal_completion=(
-            mean(completions) if completions and stage_id in NAV_STAGES else None
+            mean(completions)
+            if completions and STAGE_PROTOCOLS[stage_id].navigation
+            else None
         ),
         end_reason=end_reason,
         turns=turns,
@@ -230,10 +231,9 @@ def aggregate(episodes: list[EpisodeSummary]) -> MetricsReport:
 
     cross: dict[str, dict[str, float]] = {}
     for model in sorted({s.model for s in stages}):
-        nav = [s.f_dis for s in stages if s.model == model and s.stage_id in NAV_STAGES]
-        combat = [
-            s.score for s in stages if s.model == model and s.stage_id not in NAV_STAGES
-        ]
+        own = [s for s in stages if s.model == model]
+        nav = [s.f_dis for s in own if STAGE_PROTOCOLS[s.stage_id].navigation]
+        combat = [s.score for s in own if not STAGE_PROTOCOLS[s.stage_id].navigation]
         entry: dict[str, float] = {}
         if nav:
             entry["avg_dis"] = mean(nav)

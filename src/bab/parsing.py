@@ -14,17 +14,15 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
+from .stages import STAGE_PROTOCOLS
 from .types import Action
 
-# stages 1-2 and 4 use the plain operation marker; 4 additionally
-# requires a target clause; 3 and 5-7 use the attack marker plus the
-# cooperation marker
+# which markers a stage uses, and whether it needs a target clause, comes
+# from its entry in stages.STAGE_PROTOCOLS: cooperation stages use the
+# attack marker plus the cooperation marker, the others the operation one
 OP_MARKERS = ("#Operation:", "#操作:")
 ATTACK_MARKERS = ("#Attack operation:", "#攻击操作:")
 COOP_MARKERS = ("#Cooperation operation:", "#协作操作:")
-
-TARGETED_STAGES = {3, 4, 5, 6, 7}
-COOP_STAGES = {3, 5, 6, 7}
 
 _TOKEN_RE = re.compile(r"#(?:Move_up|Move_down|Move_left|Move_right|Shoot)#")
 _TARGET_RE = re.compile(r"Target\s*(\d+)\s*[:：]")
@@ -88,9 +86,10 @@ def parse_response(stage_id: int, raw: str) -> ParsedAction:
     cooperation line is optional; a malformed one only drops that turn's
     cooperation command.
     """
-    markers = ATTACK_MARKERS if stage_id in COOP_STAGES else OP_MARKERS
+    protocol = STAGE_PROTOCOLS[stage_id]
+    markers = ATTACK_MARKERS if protocol.coop else OP_MARKERS
     segment = _last_marker_segment(raw, markers)
-    coop = _parse_coop(raw) if stage_id in COOP_STAGES else None
+    coop = _parse_coop(raw) if protocol.coop else None
 
     if segment is None:
         return ParsedAction(None, None, coop, False, raw)
@@ -101,7 +100,7 @@ def parse_response(stage_id: int, raw: str) -> ParsedAction:
     action = Action(tokens[0])
 
     target_id = None
-    if stage_id in TARGETED_STAGES:
+    if protocol.targeted:
         m = _TARGET_RE.search(segment)
         if m is None:
             return ParsedAction(None, None, coop, False, raw)
@@ -155,14 +154,12 @@ def format_reply(
     Local decision-makers use this, which guarantees their replies parse
     back to the same action/target/coop triple.
     """
-    token = action.value
-    if stage_id in (1, 2):
-        return f"#Operation: {token}"
-    if stage_id == 4:
-        return f"#Operation: Target {target_id or 0}: {token}"
-    line = f"#Attack operation: Target {target_id or 0}: {token}"
-    if coop is not None:
-        line += f"\n#Cooperation operation: {_format_coop(coop)}"
+    protocol = STAGE_PROTOCOLS[stage_id]
+    marker = (ATTACK_MARKERS if protocol.coop else OP_MARKERS)[0]
+    target = f" Target {target_id or 0}:" if protocol.targeted else ""
+    line = f"{marker}{target} {action.value}"
+    if coop is not None and protocol.coop:
+        line += f"\n{COOP_MARKERS[0]} {_format_coop(coop)}"
     return line
 
 

@@ -19,9 +19,9 @@ from functools import lru_cache
 from importlib import resources
 
 from .engine import probe_ahead
+from .stages import STAGE_PROTOCOLS, coop_active
 from .types import (
     Base,
-    CoopTopology,
     Disposition,
     Goal,
     Orientation,
@@ -33,7 +33,6 @@ from .types import (
 )
 
 LOCALES = ("en", "zh")
-TYPED_STAGES = {6, 7}  # tank tuples carry a normal/advanced type field
 MAP_WINDOW = 96  # L-inf radius, in px, of the local wall report
 COOP_HISTORY_LIMIT = 5
 
@@ -162,10 +161,10 @@ def render_observation(
     """Fill the stage template with the agent's view of the world."""
     agent = world.require_tank(agent_id)
     stage_id = world.config.stage_id
-    coop_active = coop_enabled and world.config.coop_topology is not CoopTopology.NONE
-    template = load_template(stage_id, locale, coop_active)
+    protocol = STAGE_PROTOCOLS[stage_id]
+    template = load_template(stage_id, locale, coop_active(world.config, coop_enabled))
 
-    typed = stage_id in TYPED_STAGES
+    typed = protocol.typed
     teammates = [
         t for t in world.live_agents() if t.team == agent.team and t.id != agent_id
     ]
@@ -189,7 +188,7 @@ def render_observation(
         "attack_targets": _target_lines(world, agent),
         "coop_history": _coop_lines(world, agent_id, locale),
         "map_info": _map_lines(world, agent, locale),
-        "last_op": _last_op_value(stage_id, locale, last_record),
+        "last_op": _last_op_value(protocol.navigation, locale, last_record),
         "last_feedback": feedback_text(last_record, locale),
     }
     return _fill(template, values)
@@ -299,13 +298,13 @@ def _nearby_walls(world: WorldState, agent: Tank) -> list[tuple[int, int]]:
     return cells
 
 
-def _last_op_value(stage_id: int, locale: str, record: TurnRecord | None) -> str:
+def _last_op_value(navigation: bool, locale: str, record: TurnRecord | None) -> str:
     if record is None:
         return "None" if locale == "en" else "无"
     op = record.action if record.format_ok and record.action else (
         "Invalid output" if locale == "en" else "无效输出"
     )
-    if stage_id in (1, 2):
+    if navigation:
         return f"{op} - {feedback_text(record, locale)}"
     return op
 

@@ -251,7 +251,9 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
 
     Passes only if every per-turn outcome matches and, when the end
     record is present, the final canonical world hash matches too.
-    Incomplete trailing turns (crash leftovers) are ignored.
+    Incomplete trailing turns (crash leftovers) are ignored. Turns after
+    the last agent died write no records, so a finished log is played on
+    without actions until the world ends.
     """
     if not isinstance(log, ReplayLog):
         log = read_log(log)
@@ -293,6 +295,8 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
                     )
 
     if log.end is not None:
+        while world.status is None and not world.live_agents():
+            step_turn(world, {})
         end_hash = log.end.get("world_hash", "")
         if world.world_hash() != end_hash:
             return VerifyResult(False, None, "final world hash mismatch")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .agents import AgentError, AgentSpec, ChatExchange, make_backend
 from .coop import route_coop
-from .engine import nearest_enemy_base, step_turn
+from .engine import base_objective, step_turn
 from .metrics import (
     EpisodeSummary,
     aggregate,
@@ -29,7 +29,7 @@ from .parsing import parse_response
 from .prompts import render_observation
 from .replay import ReplayWriter
 from .stages import StageOverrides, load_stage
-from .types import Goal, Pos, TurnRecord, WorldState
+from .types import Pos, TurnRecord, WorldState
 
 log = logging.getLogger(__name__)
 
@@ -70,14 +70,7 @@ def primary_agent_ids(world: WorldState) -> list[int]:
 
 def distance_targets(world: WorldState) -> dict[int, Pos]:
     """Per-agent forward-distance target, fixed at episode start."""
-    targets: dict[int, Pos] = {}
-    for agent in world.live_agents():
-        if world.config.goal is Goal.NAVIGATION:
-            base = world.base_for_team(agent.team)
-            targets[agent.id] = base.pos
-        else:
-            targets[agent.id] = nearest_enemy_base(world, agent) or agent.pos
-    return targets
+    return {a.id: base_objective(world, a) or a.pos for a in world.live_agents()}
 
 
 def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> EpisodeResult:

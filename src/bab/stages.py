@@ -1,7 +1,8 @@
 """Stage definitions and deterministic world construction.
 
 Default settings for the seven stages (turn caps, entity counts, goals)
-live in STAGE_SETTINGS. Layouts follow a fixed scheme: bases sit near map
+live in STAGE_SETTINGS, and each stage's reply and prompt format in
+STAGE_PROTOCOLS. Layouts follow a fixed scheme: bases sit near map
 corners, each team's agents spawn next to their own base (jittered in
 whole 32-px cells), interference NPC tanks scatter over the central
 region, and sparse wall clusters fill the rest. All randomness comes from
@@ -15,6 +16,7 @@ import random
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -36,6 +38,7 @@ from .types import (
     TankKind,
     WallGrid,
     WorldState,
+    first_overlapping,
     in_bounds,
 )
 
@@ -55,6 +58,35 @@ STAGE_SETTINGS: dict[int, dict] = {
     7: dict(turns=80, agents=6, teams=3, bases=3, npcs=10, wall_density=0.42,
             goal=Goal.HYBRID_COOP, coop_topology=CoopTopology.BOTH),
 }
+
+
+@dataclass(frozen=True)
+class StageProtocol:
+    """A stage's reply and prompt format.
+
+    navigation: one team drives to a goal base; otherwise a combat stage.
+    targeted: replies name an attack target ("Target <id>:").
+    coop: replies use the attack marker and may add a cooperation line.
+    typed: prompt tank tuples carry a normal/advanced type field.
+    """
+
+    navigation: bool = False
+    targeted: bool = False
+    coop: bool = False
+    typed: bool = False
+
+
+_NAV, _DUEL = StageProtocol(navigation=True), StageProtocol(targeted=True)
+_COOP = StageProtocol(targeted=True, coop=True)
+_TYPED = StageProtocol(targeted=True, coop=True, typed=True)
+STAGE_PROTOCOLS = {1: _NAV, 2: _NAV, 3: _COOP, 4: _DUEL, 5: _COOP, 6: _TYPED, 7: _TYPED}
+
+
+def coop_active(config: StageConfig, coop_enabled: bool) -> bool:
+    """Whether prompts offer cooperation and local backends reply with it."""
+    protocol = STAGE_PROTOCOLS[config.stage_id]
+    return coop_enabled and protocol.coop and config.coop_topology is not CoopTopology.NONE
+
 
 DEFAULT_SPAWN_JITTER_CELLS = 2
 
@@ -170,12 +202,17 @@ def _validate_config(cfg: StageConfig) -> None:
         raise StageLoadError("agents and teams must be >= 1")
     if cfg.n_agents < cfg.n_teams:
         raise StageLoadError("need at least one agent per team")
-    if cfg.goal is Goal.NAVIGATION:
-        if cfg.n_bases != 1:
-            raise StageLoadError("navigation stages use exactly one base")
+    navigation = STAGE_PROTOCOLS[cfg.stage_id].navigation
+    if (cfg.goal is Goal.NAVIGATION) != navigation:
+        raise StageLoadError(
+            f"goal {cfg.goal.value!r} does not fit stage {cfg.stage_id}'s reply format"
+        )
+    if navigation:
+        if cfg.n_teams != 1 or cfg.n_bases != 1:
+            raise StageLoadError("navigation stages use exactly one team and one base")
     else:
-        if cfg.n_bases < cfg.n_teams:
-            raise StageLoadError("every team needs a base in combat stages")
+        if cfg.n_bases < max(2, cfg.n_teams):
+            raise StageLoadError("combat stages need two bases or more, one per team")
         if cfg.n_bases > len(BASE_CORNERS):
             raise StageLoadError(f"at most {len(BASE_CORNERS)} bases supported")
     if not 0.0 <= cfg.wall_density <= 0.45:
@@ -213,9 +250,7 @@ def load_stage(
                 _add_base_ring(walls, b.pos)
 
     tanks: dict[int, Tank] = {}
-    placed: list[tuple[str, Pos]] = [
-        (f"base {b.id}", b.pos) for b in bases.values()
-    ]
+    placed = [_Placed(f"base {b.id}", b.pos) for b in bases.values()]
 
     for i in range(cfg.n_agents):
         agent_id = i + 1
@@ -231,7 +266,7 @@ def load_stage(
             health=AGENT_HEALTH,
             coop_capable=True,
         )
-        placed.append((f"agent {agent_id}", pos))
+        placed.append(_Placed(f"agent {agent_id}", pos))
 
     npc_cells = _npc_spawn_cells(cfg, rng_world, placed, walls)
     for j, pos in enumerate(npc_cells):
@@ -244,7 +279,7 @@ def load_stage(
             facing=_face_outward(pos),
             health=NPC_HEALTH,
         )
-        placed.append((f"npc {npc_id}", pos))
+        placed.append(_Placed(f"npc {npc_id}", pos))
 
     _scatter_walls(walls, cfg, rng_world, placed)
 
@@ -262,6 +297,13 @@ def load_stage(
 # ----------------------------------------------------------------------
 # placement helpers
 # ----------------------------------------------------------------------
+
+
+class _Placed(NamedTuple):
+    """A footprint already on the map, named for error messages."""
+
+    name: str
+    pos: Pos
 
 
 def _place_bases(cfg: StageConfig) -> dict[int, Base]:
@@ -320,25 +362,18 @@ def _add_base_ring(walls: WallGrid, pos: Pos, thickness: int = 2) -> None:
                 walls.add(cx, cy)
 
 
-def _collides(pos: Pos, placed: list[tuple[str, Pos]], walls: WallGrid) -> str | None:
+def _collides(pos: Pos, placed: list[_Placed], walls: WallGrid) -> str | None:
     if walls.overlaps_rect(pos.x, pos.y, TANK_SIZE, TANK_SIZE):
         return "a wall"
-    for name, other in placed:
-        if (
-            pos.x < other.x + TANK_SIZE
-            and other.x < pos.x + TANK_SIZE
-            and pos.y < other.y + TANK_SIZE
-            and other.y < pos.y + TANK_SIZE
-        ):
-            return name
-    return None
+    hit = first_overlapping(placed, pos.x, pos.y, TANK_SIZE, TANK_SIZE)
+    return hit.name if hit is not None else None
 
 
 def _jitter_spawn(
     cfg: StageConfig,
     rng: random.Random,
     anchor: Pos,
-    placed: list[tuple[str, Pos]],
+    placed: list[_Placed],
     walls: WallGrid,
     name: str,
 ) -> Pos:
@@ -361,7 +396,7 @@ def _jitter_spawn(
 def _npc_spawn_cells(
     cfg: StageConfig,
     rng: random.Random,
-    placed: list[tuple[str, Pos]],
+    placed: list[_Placed],
     walls: WallGrid,
 ) -> list[Pos]:
     """Scatter NPCs over the interior, clear of agents and bases."""
@@ -390,7 +425,7 @@ def _scatter_walls(
     grid: WallGrid,
     cfg: StageConfig,
     rng: random.Random,
-    placed: list[tuple[str, Pos]],
+    placed: list[_Placed],
 ) -> None:
     """Drop rectangular wall clusters until the density budget is spent.
 
@@ -400,17 +435,9 @@ def _scatter_walls(
     """
     lattice = MAP_SIZE // WALL_SIZE
     budget = int(cfg.wall_density * lattice * lattice)
-    keep_out = []
-    for name, pos in placed:
-        margin = 0 if name.startswith("npc") else TANK_SIZE
-        keep_out.append(
-            (
-                pos.x - margin,
-                pos.y - margin,
-                pos.x + TANK_SIZE + margin,
-                pos.y + TANK_SIZE + margin,
-            )
-        )
+    npcs = [p for p in placed if p.name.startswith("npc")]
+    spawns = [p for p in placed if not p.name.startswith("npc")]
+    m = TANK_SIZE  # keep-out margin around spawns
 
     attempts = 0
     while len(grid) < budget and attempts < 1200:
@@ -419,10 +446,10 @@ def _scatter_walls(
         h = rng.randint(2, 4)
         cx = rng.randint(0, lattice - w)
         cy = rng.randint(0, lattice - h)
-        x0, y0 = cx * WALL_SIZE, cy * WALL_SIZE
-        x1, y1 = (cx + w) * WALL_SIZE, (cy + h) * WALL_SIZE
-        if any(x0 < kx1 and kx0 < x1 and y0 < ky1 and ky0 < y1
-               for kx0, ky0, kx1, ky1 in keep_out):
+        x, y, pw, ph = cx * WALL_SIZE, cy * WALL_SIZE, w * WALL_SIZE, h * WALL_SIZE
+        if first_overlapping(npcs, x, y, pw, ph) or first_overlapping(
+            spawns, x - m, y - m, pw + 2 * m, ph + 2 * m
+        ):
             continue
         for dy in range(h):
             for dx in range(w):

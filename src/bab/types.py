@@ -353,19 +353,15 @@ class WorldState:
         """Teams still in the game: a team lives while its base stands."""
         return {b.team for b in self.bases.values() if not b.destroyed}
 
-    def tank_at_rect(self, x: int, y: int, exclude_id: int | None = None) -> Tank | None:
-        for t in self.tanks.values():
-            if not t.alive or t.id == exclude_id:
-                continue
-            if _rects_overlap(x, y, t.pos.x, t.pos.y):
-                return t
-        return None
+    def tank_at_rect(self, x: int, y: int, exclude_id: int | None = None,
+                     size: int = TANK_SIZE) -> Tank | None:
+        """Size 1 asks about the single pixel (x, y)."""
+        return first_overlapping(self.tanks.values(), x, y, size, size,
+                                 lambda t: t.alive and t.id != exclude_id)
 
-    def blocking_base_at_rect(self, x: int, y: int) -> Base | None:
-        for b in self.bases.values():
-            if b.blocking and _rects_overlap(x, y, b.pos.x, b.pos.y):
-                return b
-        return None
+    def blocking_base_at_rect(self, x: int, y: int, size: int = TANK_SIZE) -> Base | None:
+        return first_overlapping(self.bases.values(), x, y, size, size,
+                                 lambda b: b.blocking)
 
     def base_for_team(self, team: int | None) -> Base | None:
         for b in self.bases.values():
@@ -467,8 +463,16 @@ _FACING_CODES = {o: i for i, o in enumerate(Orientation)}
 _DISPOSITION_CODES = {d: i for i, d in enumerate(Disposition)}
 
 
-def _rects_overlap(ax: int, ay: int, bx: int, by: int, size: int = TANK_SIZE) -> bool:
-    return ax < bx + size and bx < ax + size and ay < by + size and by < ay + size
+def first_overlapping(items, x: int, y: int, w: int, h: int, keep=None):
+    """First item whose 32x32 footprint at ``item.pos`` overlaps the
+    half-open rect [x, x+w) x [y, y+h) and passes ``keep``, if given.
+    Geometry goes first, so ``keep`` runs only on the rare hits."""
+    x0, y0, x1, y1 = x - TANK_SIZE, y - TANK_SIZE, x + w, y + h
+    for item in items:
+        pos = item.pos
+        if x0 < pos.x < x1 and y0 < pos.y < y1 and (keep is None or keep(item)):
+            return item
+    return None
 
 
 def in_bounds(x: int, y: int, size: int = TANK_SIZE) -> bool:

@@ -417,6 +417,7 @@ def test_no_coop_run_has_empty_mailboxes():
 
 
 def test_topology_none_override_strips_coop_sections():
+    from bab.agents import AgentSpec, make_backend
     from bab.stages import StageOverrides, load_stage as _load
 
     w = _load(5, 1, StageOverrides(coop_topology="none"))
@@ -424,3 +425,12 @@ def test_topology_none_override_strips_coop_sections():
     assert "#Cooperation" not in text and "#协作" not in render_observation(
         w, 1, locale="zh", coop_enabled=True
     )
+    # the local backends follow the prompt and leave the cooperation line out
+    for stage_id in (3, 5):
+        w = _load(stage_id, 1, StageOverrides(coop_topology="none"))
+        for backend in ("random", "greedy"):
+            policy = make_backend(AgentSpec(backend=backend, seed=3), stage_id, 1, True)
+            reply = policy.decide(render_observation(w, 1), w, 1).response
+            assert "#Cooperation operation:" not in reply
+            parsed = parse_response(stage_id, reply)
+            assert parsed.format_ok and parsed.coop is None

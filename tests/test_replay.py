@@ -161,6 +161,33 @@ def test_coop_stage_log_verifies_with_messages(tmp_path):
     assert result.world.coop_history
 
 
+def test_log_with_every_agent_dead_verifies(tmp_path):
+    # the lone agent dies at turn 47; the NPCs play on to the cap with no
+    # turn records, and replay must play those turns too
+    cfg = RunConfig(
+        stage_id=2,
+        seeds=[5984],
+        primary=AgentSpec(backend="greedy"),
+        reference=AgentSpec(backend="greedy"),
+    )
+    path = tmp_path / "dead.jsonl"
+    result = run_episode(cfg, 5984, path)
+    log = read_log(path)
+    assert not result.world.live_agents()
+    assert log.turns[-1]["turn"] + 1 < log.end["turns"]
+    assert replay_verify(log).ok
+
+
+def test_missing_turns_with_live_agents_fail(episode_log):
+    log = read_log(episode_log)
+    assert log.turns[-1]["alive_after"]
+    last = log.turns[-1]["turn"]
+    log.turns = [r for r in log.turns if r["turn"] != last]
+    result = replay_verify(log)
+    assert not result.ok
+    assert "hash" in result.detail
+
+
 def test_read_log_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n", encoding="utf-8")

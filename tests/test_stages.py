@@ -112,6 +112,17 @@ def test_override_validation_errors():
         resolve_config(1, StageOverrides(wall_density=0.9))
     with pytest.raises(StageLoadError, match="too many agents"):
         load_stage(4, 1, StageOverrides(agents=20, teams=2))
+    # the goal cannot move a stage between navigation and combat
+    with pytest.raises(StageLoadError, match="does not fit"):
+        resolve_config(4, StageOverrides(goal="navigation", bases=1))
+    with pytest.raises(StageLoadError, match="does not fit"):
+        resolve_config(1, StageOverrides(goal="competitive_task"))
+    with pytest.raises(StageLoadError, match="does not fit"):
+        resolve_config(2, StageOverrides(goal="cooperative_task", bases=2))
+    with pytest.raises(StageLoadError, match="one team"):
+        resolve_config(1, StageOverrides(agents=2, teams=2))
+    with pytest.raises(StageLoadError, match="two bases"):
+        resolve_config(3, StageOverrides(bases=1))
 
 
 def test_team_assignment_blocks_first_team_first():
