@@ -83,8 +83,6 @@ class ChatExchange:
     """One decision round-trip; local backends produce synthetic ones."""
 
     response: str
-    system: str = ""
-    user: str = ""
     latency_ms: float = 0.0
     attempt_count: int = 1
     error: str | None = None
@@ -276,8 +274,6 @@ class RemotePolicy:
                     raise _Transient("missing assistant text")
                 return ChatExchange(
                     response=text,
-                    system=system,
-                    user=user,
                     latency_ms=(time.monotonic() - start) * 1000.0,
                     attempt_count=attempt,
                 )

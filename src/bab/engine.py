@@ -19,7 +19,6 @@ from .types import (
     BASE_HIT_SCORE,
     MAP_SIZE,
     MOVE_STEP,
-    NOOP_OUTCOME,
     TANK_HIT_SCORE,
     TANK_SIZE,
     WALL_SIZE,
@@ -57,18 +56,29 @@ def apply_move(world: WorldState, entity_id: int, direction: Orientation) -> Mov
         raise EngineError("world has ended")
     tank = world.require_tank(entity_id)
     tank.facing = direction
-    dx, dy = direction.delta
-    nx, ny = tank.pos.x + dx * MOVE_STEP, tank.pos.y + dy * MOVE_STEP
-    if not in_bounds(nx, ny):
-        return MoveOutcome(False, Blocker.BOUNDARY)
-    if world.walls.overlaps_rect(nx, ny, TANK_SIZE, TANK_SIZE):
-        return MoveOutcome(False, Blocker.WALL)
-    if world.tank_at_rect(nx, ny, exclude_id=entity_id) is not None:
-        return MoveOutcome(False, Blocker.TANK)
-    if world.blocking_base_at_rect(nx, ny) is not None:
-        return MoveOutcome(False, Blocker.BASE)
-    tank.pos = Pos(nx, ny)
+    pos, blocker, _ = _step_ahead(world, tank, direction)
+    if blocker is not None:
+        return MoveOutcome(False, blocker)
+    tank.pos = pos
     return MoveOutcome(True)
+
+
+def _step_ahead(world: WorldState, tank: Tank, direction: Orientation):
+    """The one blocker rule for a 32-px step: (pos, blocker, detail).
+    Boundary, then wall (detail: the first present cell's pixel origin),
+    then another live tank, then a blocking base; None when free."""
+    dx, dy = direction.delta
+    pos = Pos(tank.pos.x + dx * MOVE_STEP, tank.pos.y + dy * MOVE_STEP)
+    if not in_bounds(*pos):
+        return pos, Blocker.BOUNDARY, None
+    cell = next(world.walls.cells_in_rect(*pos, TANK_SIZE, TANK_SIZE), None)
+    if cell is not None:
+        return pos, Blocker.WALL, (cell[0] * WALL_SIZE, cell[1] * WALL_SIZE)
+    other = world.tank_at_rect(*pos, exclude_id=tank.id)
+    if other is not None:
+        return pos, Blocker.TANK, other
+    base = world.blocking_base_at_rect(*pos)
+    return pos, (Blocker.BASE if base is not None else None), base
 
 
 def apply_shoot(world: WorldState, shooter_id: int) -> ShootOutcome:
@@ -214,9 +224,9 @@ def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnR
     status = check_termination(world)
     if status is not None:
         world.status, world.winner_team = status
-        # death freezes position; records reflect post-turn liveness
-        for rec in records:
-            rec.alive_after = world.tanks[rec.agent_id].alive
+    # death freezes position; records reflect liveness after the NPCs acted
+    for rec in records:
+        rec.alive_after = world.tanks[rec.agent_id].alive
     return records
 
 
@@ -280,20 +290,7 @@ def probe_ahead(world: WorldState, tank: Tank, direction: Orientation | None = N
 
     Returns (kind, detail): ("boundary", None), ("wall", (x, y) of the
     first present wall cell), ("tank", Tank), ("base", Base), or
-    ("clear", None). Mirrors the blocker priority of apply_move.
+    ("clear", None), by the blocker rule apply_move uses.
     """
-    d = direction or tank.facing
-    dx, dy = d.delta
-    nx, ny = tank.pos.x + dx * MOVE_STEP, tank.pos.y + dy * MOVE_STEP
-    if not in_bounds(nx, ny):
-        return "boundary", None
-    cell = next(world.walls.cells_in_rect(nx, ny, TANK_SIZE, TANK_SIZE), None)
-    if cell is not None:
-        return "wall", (cell[0] * WALL_SIZE, cell[1] * WALL_SIZE)
-    other = world.tank_at_rect(nx, ny, exclude_id=tank.id)
-    if other is not None:
-        return "tank", other
-    base = world.blocking_base_at_rect(nx, ny)
-    if base is not None:
-        return "base", base
-    return "clear", None
+    _, blocker, detail = _step_ahead(world, tank, direction or tank.facing)
+    return (blocker.value, detail) if blocker is not None else ("clear", None)

@@ -74,9 +74,6 @@ class ParsedAction:
         return self.coop.to_dict() if self.coop else None
 
 
-INVALID = ParsedAction(action=None, target_id=None, coop=None, format_ok=False)
-
-
 def parse_response(stage_id: int, raw: str) -> ParsedAction:
     """Scan a raw reply for the stage's markers.
 

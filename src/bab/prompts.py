@@ -6,6 +6,11 @@ fill points (turn counter, entity listings, local map block, last-round
 feedback). Rendering is a pure function of its inputs: it never mutates
 the world.
 
+``_PHRASES`` is the one place for locale text outside ``templates/``:
+enum words, the generated lines, feedback sentences and the cooperation
+surfaces, one table per locale, so no function here branches on the
+locale. ``LOCALES`` is its key list.
+
 With cooperation disabled, every cooperation surface (options block,
 plan line, output-format line, history slot, "you can cooperate"
 sentences) is removed from the template before filling, so ablation runs
@@ -20,89 +25,99 @@ from importlib import resources
 
 from .engine import probe_ahead
 from .stages import STAGE_PROTOCOLS, coop_active
-from .types import (
-    Base,
-    Disposition,
-    Goal,
-    Orientation,
-    Tank,
-    TankKind,
-    TurnRecord,
-    WorldState,
-    TANK_SIZE,
-)
+from .types import MOVE_DIRECTIONS, TANK_SIZE, Action, Base, Goal, Tank, TurnRecord, WorldState
 
-LOCALES = ("en", "zh")
 MAP_WINDOW = 96  # L-inf radius, in px, of the local wall report
 COOP_HISTORY_LIMIT = 5
 
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 
-_DIR_WORDS = {
-    "en": {o: o.value for o in Orientation},
+# words are keyed by enum value (facing, tank type, disposition, blocker);
+# lines and sentences are str.format patterns
+_PHRASES: dict[str, dict] = {
+    "en": {
+        "up": "up", "down": "down", "left": "left", "right": "right",
+        "agent": "advanced", "npc": "normal",
+        "pending": "pending", "accepted": "accepted", "rejected": "rejected",
+        "stopped": "stopped",
+        "wall": "a wall", "tank": "another tank", "base": "a base",
+        "boundary": "the map boundary",
+        "none": "None",
+        "invalid": "Invalid output",
+        "ahead": "Ahead: {}",
+        "ahead_clear": "clear",
+        "ahead_boundary": "map boundary",
+        "ahead_wall": "wall at ({}, {})",
+        "ahead_tank": "tank {}",
+        "ahead_base": "base {}",
+        "nearby_walls": "Nearby wall cells (x, y): {}",
+        "coop_line": "Round {turn}: tank {src} -> tank {dst}: {body} [{disposition}]",
+        "fb_moved": "Moved {facing}.",
+        "fb_blocked": "Move blocked by {blocker}; now facing {facing}.",
+        "fb_hit_wall": "Shot hit a wall cell at ({cell[0]}, {cell[1]}).",
+        "fb_hit_tank": "Shot hit tank {target}.",
+        "fb_destroyed": "Shot hit tank {target}; tank {target} was destroyed.",
+        "fb_hit_base": "Shot hit base {target}; the base is destroyed.",
+        "fb_no_hit": "Shot hit nothing.",
+        "fb_noop": "No valid operation was executed.",
+        "coop_sentences": (
+            " To achieve the ultimate goal, you can cooperate with your teammate.",
+            " To achieve the ultimate goal, you can cooperate with an enemy to"
+            " eliminate other enemies.",
+            " To achieve the ultimate goal, you can cooperate with your teammates,"
+            " or temporarily cooperate with an enemy to eliminate other enemies.",
+            " You can also choose cooperation options to decide whether to"
+            " cooperate with teammates.",
+        ),
+        "coop_note": (
+            "- You can only output one control operation and one cooperation"
+            " operation each time.",
+            "- You can only output one control operation each time.",
+        ),
+        "coop_options": "#Cooperation options:",
+        "coop_lines": (
+            "#Cooperation operation:",
+            "- Cooperation plan:",
+            "- Tanks have two types: normal and advanced.",
+        ),
+        "coop_history": "Historical cooperation attack information:",
+    },
     "zh": {
-        Orientation.UP: "上",
-        Orientation.DOWN: "下",
-        Orientation.LEFT: "左",
-        Orientation.RIGHT: "右",
+        "up": "上", "down": "下", "left": "左", "right": "右",
+        "agent": "高级", "npc": "普通",
+        "pending": "待定", "accepted": "已接受", "rejected": "已拒绝", "stopped": "已终止",
+        "wall": "wall", "tank": "其他坦克", "base": "基地", "boundary": "地图边界",
+        "none": "无",
+        "invalid": "无效输出",
+        "ahead": "前方: {}",
+        "ahead_clear": "无障碍",
+        "ahead_boundary": "地图边界",
+        "ahead_wall": "wall ({}, {})",
+        "ahead_tank": "坦克 {}",
+        "ahead_base": "基地 {}",
+        "nearby_walls": "附近wall单元(x, y): {}",
+        "coop_line": "回合{turn}: 坦克{src} -> 坦克{dst}: {body} [{disposition}]",
+        "fb_moved": "向{facing}移动成功。",
+        "fb_blocked": "移动被{blocker}阻挡，当前朝向{facing}。",
+        "fb_hit_wall": "射击命中wall({cell[0]}, {cell[1]})。",
+        "fb_hit_tank": "射击命中坦克{target}。",
+        "fb_destroyed": "射击命中坦克{target}，坦克{target}已被摧毁。",
+        "fb_hit_base": "射击命中基地{target}，基地已被摧毁。",
+        "fb_no_hit": "射击未命中任何目标。",
+        "fb_noop": "未执行有效操作。",
+        "coop_sentences": (
+            "你可以与你的队友协作完成目标。",
+            "为了完成最终目标，你可以与某个敌人协作消灭其它敌人。",
+            "为了完成最终目标，你可以与你的队友协作，也可以暂时与某个敌人协作消灭其它敌人。",
+            "并可以选择协作选项决定是否与队友协作攻击。",
+        ),
+        "coop_note": ("- 你每次只能输出一个控制操作和一个协作操作。", "- 你每次只能输出一个操作。"),
+        "coop_options": "#协作选项:",
+        "coop_lines": ("#协作操作:", "- 协作计划:", "- 坦克有普通和高级两种类型"),
+        "coop_history": "历史协作攻击信息:",
     },
 }
-_TYPE_WORDS = {
-    "en": {TankKind.AGENT: "advanced", TankKind.NPC: "normal"},
-    "zh": {TankKind.AGENT: "高级", TankKind.NPC: "普通"},
-}
-_DISPOSITION_WORDS = {
-    "en": {d: d.value for d in Disposition},
-    "zh": {
-        Disposition.PENDING: "待定",
-        Disposition.ACCEPTED: "已接受",
-        Disposition.REJECTED: "已拒绝",
-        Disposition.STOPPED: "已终止",
-    },
-}
-_BLOCKER_WORDS = {
-    "en": {"wall": "a wall", "tank": "another tank", "base": "a base",
-           "boundary": "the map boundary"},
-    "zh": {"wall": "wall", "tank": "其他坦克", "base": "基地", "boundary": "地图边界"},
-}
-
-# cooperation surfaces removed for ablation runs, per locale
-_COOP_SENTENCES = {
-    "en": [
-        " To achieve the ultimate goal, you can cooperate with your teammate.",
-        " To achieve the ultimate goal, you can cooperate with an enemy to"
-        " eliminate other enemies.",
-        " To achieve the ultimate goal, you can cooperate with your teammates,"
-        " or temporarily cooperate with an enemy to eliminate other enemies.",
-        " You can also choose cooperation options to decide whether to"
-        " cooperate with teammates.",
-    ],
-    "zh": [
-        "你可以与你的队友协作完成目标。",
-        "为了完成最终目标，你可以与某个敌人协作消灭其它敌人。",
-        "为了完成最终目标，你可以与你的队友协作，也可以暂时与某个敌人协作消灭其它敌人。",
-        "并可以选择协作选项决定是否与队友协作攻击。",
-    ],
-}
-_COOP_NOTE = {
-    "en": (
-        "- You can only output one control operation and one cooperation"
-        " operation each time.",
-        "- You can only output one control operation each time.",
-    ),
-    "zh": ("- 你每次只能输出一个控制操作和一个协作操作。", "- 你每次只能输出一个操作。"),
-}
-_COOP_LINE_PREFIXES = (
-    "#Cooperation options:",
-    "#Cooperation operation:",
-    "- Cooperation plan:",
-    "- Tanks have two types: normal and advanced.",
-    "#协作选项:",
-    "#协作操作:",
-    "- 协作计划:",
-    "- 坦克有普通和高级两种类型",
-)
-_COOP_HISTORY_HEADERS = ("Historical cooperation attack information:", "历史协作攻击信息:")
+LOCALES = tuple(_PHRASES)
 
 
 @lru_cache(maxsize=None)
@@ -120,10 +135,10 @@ def load_template(stage_id: int, locale: str, coop_enabled: bool = True) -> str:
 
 
 def _strip_coop(text: str, locale: str) -> str:
-    for sentence in _COOP_SENTENCES[locale]:
+    p = _PHRASES[locale]
+    for sentence in p["coop_sentences"]:
         text = text.replace(sentence, "")
-    old, new = _COOP_NOTE[locale]
-    text = text.replace(old, new)
+    text = text.replace(*p["coop_note"])
 
     lines = text.split("\n")
     out: list[str] = []
@@ -141,10 +156,12 @@ def _strip_coop(text: str, locale: str) -> str:
             skip_blank = False
             if line == "":
                 continue
-        if any(stripped.startswith(p) for p in _COOP_LINE_PREFIXES):
-            skip_bullets = stripped.startswith(("#Cooperation options:", "#协作选项:"))
+        if stripped.startswith(p["coop_options"]):  # heads a bullet list
+            skip_bullets = True
             continue
-        if any(stripped.startswith(h) for h in _COOP_HISTORY_HEADERS):
+        if stripped.startswith(p["coop_lines"]):
+            continue
+        if stripped.startswith(p["coop_history"]):
             skip_blank = True
             continue
         out.append(line)
@@ -210,12 +227,12 @@ def _block(lines: list[str]) -> str:
 
 
 def _tank_lines(tanks: list[Tank], locale: str, typed: bool) -> str:
-    words = _DIR_WORDS[locale]
+    p = _PHRASES[locale]
     lines = []
     for t in tanks:
-        fields = [str(t.id), str(t.pos.x), str(t.pos.y), words[t.facing], str(t.health)]
+        fields = [str(t.id), str(t.pos.x), str(t.pos.y), p[t.facing.value], str(t.health)]
         if typed:
-            fields.append(_TYPE_WORDS[locale][t.kind])
+            fields.append(p[t.kind.value])
         lines.append("(" + ", ".join(fields) + ")")
     return _block(lines)
 
@@ -239,44 +256,23 @@ def _coop_lines(world: WorldState, agent_id: int, locale: str) -> str:
         for m in world.coop_history
         if m.from_id == agent_id or m.to_id == agent_id
     ]
-    words = _DISPOSITION_WORDS[locale]
-    lines = []
-    for m in relevant[-COOP_HISTORY_LIMIT:]:
-        if locale == "zh":
-            lines.append(
-                f"回合{m.turn + 1}: 坦克{m.from_id} -> 坦克{m.to_id}:"
-                f" {m.body} [{words[m.disposition]}]"
-            )
-        else:
-            lines.append(
-                f"Round {m.turn + 1}: tank {m.from_id} -> tank {m.to_id}:"
-                f" {m.body} [{words[m.disposition]}]"
-            )
-    return _block(lines)
+    p = _PHRASES[locale]
+    return _block([
+        p["coop_line"].format(turn=m.turn + 1, src=m.from_id, dst=m.to_id, body=m.body,
+                              disposition=p[m.disposition.value])
+        for m in relevant[-COOP_HISTORY_LIMIT:]
+    ])
 
 
 def _map_lines(world: WorldState, agent: Tank, locale: str) -> str:
+    p = _PHRASES[locale]
     kind, detail = probe_ahead(world, agent)
-    if kind == "clear":
-        ahead = "clear" if locale == "en" else "无障碍"
-    elif kind == "boundary":
-        ahead = "map boundary" if locale == "en" else "地图边界"
-    elif kind == "wall":
-        x, y = detail
-        ahead = f"wall at ({x}, {y})" if locale == "en" else f"wall ({x}, {y})"
-    elif kind == "tank":
-        ahead = f"tank {detail.id}" if locale == "en" else f"坦克 {detail.id}"
-    else:
-        ahead = f"base {detail.id}" if locale == "en" else f"基地 {detail.id}"
-    lines = [f"Ahead: {ahead}" if locale == "en" else f"前方: {ahead}"]
-
+    # a wall reports its cell origin, a tank or a base its id
+    fields = detail if kind == "wall" else () if detail is None else (detail.id,)
+    lines = [p["ahead"].format(p["ahead_" + kind].format(*fields))]
     walls = _nearby_walls(world, agent)
     if walls:
-        listing = ", ".join(f"({x}, {y})" for x, y in walls)
-        if locale == "en":
-            lines.append(f"Nearby wall cells (x, y): {listing}")
-        else:
-            lines.append(f"附近wall单元(x, y): {listing}")
+        lines.append(p["nearby_walls"].format(", ".join(f"({x}, {y})" for x, y in walls)))
     return _block(lines)
 
 
@@ -299,11 +295,10 @@ def _nearby_walls(world: WorldState, agent: Tank) -> list[tuple[int, int]]:
 
 
 def _last_op_value(navigation: bool, locale: str, record: TurnRecord | None) -> str:
+    p = _PHRASES[locale]
     if record is None:
-        return "None" if locale == "en" else "无"
-    op = record.action if record.format_ok and record.action else (
-        "Invalid output" if locale == "en" else "无效输出"
-    )
+        return p["none"]
+    op = record.action if record.format_ok and record.action else p["invalid"]
     if navigation:
         return f"{op} - {feedback_text(record, locale)}"
     return op
@@ -311,45 +306,15 @@ def _last_op_value(navigation: bool, locale: str, record: TurnRecord | None) -> 
 
 def feedback_text(record: TurnRecord | None, locale: str) -> str:
     """One-sentence description of how the previous action resolved."""
+    p = _PHRASES[locale]
     if record is None:
-        return "None" if locale == "en" else "无"
+        return p["none"]
     outcome = record.outcome
     result = outcome.get("result")
-    en = locale == "en"
-    if result == "moved":
-        word = _DIR_WORDS[locale][_action_direction(record.action)]
-        return f"Moved {word}." if en else f"向{word}移动成功。"
-    if result == "blocked":
-        bw = _BLOCKER_WORDS[locale][outcome["blocker"]]
-        dw = _DIR_WORDS[locale][_action_direction(record.action)]
-        if en:
-            return f"Move blocked by {bw}; now facing {dw}."
-        return f"移动被{bw}阻挡，当前朝向{dw}。"
-    if result == "hit_wall":
-        x, y = outcome["cell"]
-        return f"Shot hit a wall cell at ({x}, {y})." if en else f"射击命中wall({x}, {y})。"
-    if result == "hit_tank":
-        t = outcome["target"]
-        if outcome.get("destroyed"):
-            return (
-                f"Shot hit tank {t}; tank {t} was destroyed."
-                if en
-                else f"射击命中坦克{t}，坦克{t}已被摧毁。"
-            )
-        return f"Shot hit tank {t}." if en else f"射击命中坦克{t}。"
-    if result == "hit_base":
-        b = outcome["target"]
-        return (
-            f"Shot hit base {b}; the base is destroyed."
-            if en
-            else f"射击命中基地{b}，基地已被摧毁。"
-        )
-    if result == "no_hit":
-        return "Shot hit nothing." if en else "射击未命中任何目标。"
-    return "No valid operation was executed." if en else "未执行有效操作。"
-
-
-def _action_direction(token: str | None) -> Orientation:
-    from .types import Action, MOVE_DIRECTIONS
-
-    return MOVE_DIRECTIONS[Action(token)]
+    if result == "hit_tank" and outcome.get("destroyed"):
+        result = "destroyed"
+    fields = dict(outcome)
+    if result in ("moved", "blocked"):
+        fields["facing"] = p[MOVE_DIRECTIONS[Action(record.action)].value]
+        fields["blocker"] = p.get(outcome.get("blocker"))
+    return p.get(f"fb_{result}", p["fb_noop"]).format(**fields)

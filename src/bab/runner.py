@@ -43,12 +43,7 @@ class RunConfig:
     coop_enabled: bool = True
     locale: str = "en"
     macc_denominator: str = "moves"
-    out_dir: Path | None = None
     overrides: StageOverrides | None = None
-
-    @property
-    def runs(self) -> int:
-        return len(self.seeds)
 
     @property
     def model_label(self) -> str:

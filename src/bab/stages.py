@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -106,19 +106,6 @@ BASE_CORNERS = [Pos(64, 448), Pos(448, 64), Pos(96, 32), Pos(416, 480)]
 
 _CENTER = MAP_SIZE // 2
 
-OVERRIDE_KEYS = (
-    "turns",
-    "agents",
-    "teams",
-    "bases",
-    "npcs",
-    "spawn_jitter_cells",
-    "wall_density",
-    "goal",
-    "coop_topology",
-)
-
-
 @dataclass(frozen=True)
 class StageOverrides:
     """Partial stage configuration; unset fields keep the stage defaults."""
@@ -156,6 +143,9 @@ class StageOverrides:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
+OVERRIDE_KEYS = tuple(f.name for f in fields(StageOverrides))
+
+
 def derive_seed(seed: int, tag: str) -> int:
     """Stable sub-stream seed; never uses Python's randomized hash()."""
     crc = zlib.crc32(tag.encode("utf-8")) & 0xFFFFFFFF
@@ -165,31 +155,22 @@ def derive_seed(seed: int, tag: str) -> int:
 def resolve_config(stage_id: int, overrides: StageOverrides | None = None) -> StageConfig:
     if stage_id not in STAGE_SETTINGS:
         raise StageLoadError(f"invalid stage id {stage_id}; expected 1..7")
-    s = dict(STAGE_SETTINGS[stage_id])
-    ov = overrides or StageOverrides()
-    goal = Goal(ov.goal) if ov.goal is not None else s["goal"]
-    topology = (
-        CoopTopology(ov.coop_topology)
-        if ov.coop_topology is not None
-        else s["coop_topology"]
-    )
+    s = {
+        **STAGE_SETTINGS[stage_id],
+        "spawn_jitter_cells": DEFAULT_SPAWN_JITTER_CELLS,
+        **(overrides or StageOverrides()).as_dict(),
+    }
     cfg = StageConfig(
         stage_id=stage_id,
-        turn_cap=ov.turns if ov.turns is not None else s["turns"],
-        n_agents=ov.agents if ov.agents is not None else s["agents"],
-        n_teams=ov.teams if ov.teams is not None else s["teams"],
-        n_bases=ov.bases if ov.bases is not None else s["bases"],
-        n_npcs=ov.npcs if ov.npcs is not None else s["npcs"],
-        goal=goal,
-        coop_topology=topology,
-        spawn_jitter_cells=(
-            ov.spawn_jitter_cells
-            if ov.spawn_jitter_cells is not None
-            else DEFAULT_SPAWN_JITTER_CELLS
-        ),
-        wall_density=(
-            ov.wall_density if ov.wall_density is not None else s["wall_density"]
-        ),
+        turn_cap=s["turns"],
+        n_agents=s["agents"],
+        n_teams=s["teams"],
+        n_bases=s["bases"],
+        n_npcs=s["npcs"],
+        goal=Goal(s["goal"]),
+        coop_topology=CoopTopology(s["coop_topology"]),
+        spawn_jitter_cells=s["spawn_jitter_cells"],
+        wall_density=s["wall_density"],
     )
     _validate_config(cfg)
     return cfg

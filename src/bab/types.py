@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -214,18 +214,7 @@ class StageConfig:
     wall_density: float
 
     def as_dict(self) -> dict:
-        return {
-            "stage_id": self.stage_id,
-            "turn_cap": self.turn_cap,
-            "n_agents": self.n_agents,
-            "n_teams": self.n_teams,
-            "n_bases": self.n_bases,
-            "n_npcs": self.n_npcs,
-            "goal": self.goal.value,
-            "coop_topology": self.coop_topology.value,
-            "spawn_jitter_cells": self.spawn_jitter_cells,
-            "wall_density": self.wall_density,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -265,9 +254,6 @@ class ShootOutcome:
         if self.result == "hit_tank":
             d["destroyed"] = self.destroyed
         return d
-
-
-NOOP_OUTCOME = {"result": "noop"}
 
 
 @dataclass
@@ -368,14 +354,6 @@ class WorldState:
             if b.team == team:
                 return b
         return None
-
-    def pending_messages_for(self, agent_id: int) -> list[CoopMessage]:
-        """Messages routed last turn; these surface in the next observation."""
-        return [
-            m
-            for m in self.coop_history
-            if m.to_id == agent_id and m.turn == self.turn - 1
-        ]
 
     # ------------------------------------------------------------------
     # canonical serialization

@@ -1,11 +1,11 @@
 """Whole-log pins: the sha256 of complete replay logs.
 
 Every stage in both locales, once with a random primary against greedy
-references and once the other way round, seed 0, plus one ablation run
-with cooperation off. A change anywhere in layout, rendering, parsing,
-the local policies, turn resolution, cooperation routing, metrics or log
-encoding changes one of these digests, so a refactor that keeps them
-keeps behaviour.
+references and once the other way round, seed 0, plus ablation runs with
+cooperation off (stage 5 in both locales, stage 7 in Chinese). A change
+anywhere in layout, rendering, parsing, the local policies, turn
+resolution, cooperation routing, metrics or log encoding changes one of
+these digests, so a refactor that keeps them keeps behaviour.
 """
 
 from __future__ import annotations
@@ -57,31 +57,35 @@ LOG_PINS = {
     (4, "zh", "greedy-random", True):
         "24812a927edd65911b6e32c132c497d368fc0c62c5b3dcf92179b2957bff7c0d",
     (5, "en", "random-greedy", True):
-        "1928c54ebc578f28a22fad771e767693d9cbf5df78fca3b02bddae8ad2b2f36e",
+        "2066a097f867b995409aefdf56bd2e7551366c1fadcbff2481fa06513fa30766",
     (5, "en", "greedy-random", True):
         "bb5fae6d8f8c5b311655dd3c63d363556d60b40cdc5ecd40da8b1d9cbe7a4a35",
     (5, "zh", "random-greedy", True):
-        "68f34aa2423ba21cba28f111d039011c8d6514cfa169c1157a11321682ef6a72",
+        "db6a75e2dc35dc16d98514421c9872e27a96d79f1ba479a8219cf2d27e75420e",
     (5, "zh", "greedy-random", True):
         "c6ead6400ff707eb4f29c69a8665dc991fbb181c6f8f2449800dc92a5dd5c534",
     (6, "en", "random-greedy", True):
-        "7591d21ec0d5e623fca16e82384e7698458b3166c9973e352f35b6922fd96a04",
+        "b80800c7becccb6d9dd10a211af7fcf2ae54d5959419b8e0a40b2dcef97998cf",
     (6, "en", "greedy-random", True):
         "c240a5e7505cff72bfa4bb57117431e26f8972f9204617ecfd273ed057a818c4",
     (6, "zh", "random-greedy", True):
-        "b9e96ada5e9cef270eedc55d2cee27008ff1eb1ae4c7916c1f4172af9cac2dbf",
+        "c7188194d35f6d09a549fbbfe88ce81da44c15a29e4e06751d5c0869fd49d786",
     (6, "zh", "greedy-random", True):
         "850bfba9f654c0c9af4f975ce3a12f56e9b71741a071fd2a0cf2046c0e62dc20",
     (7, "en", "random-greedy", True):
-        "b47c110e9de8ced9012823983c3a2dc327de9624f7fa94b06a6f3239b8fe471e",
+        "e3bc3f92bd3c35018af226f21e236a942a55f593e18ce672b315f61f0c6d097a",
     (7, "en", "greedy-random", True):
         "0e427cf808455898afc85a53146b21694945d3bd4e0d9983728b2d4d74b857c7",
     (7, "zh", "random-greedy", True):
-        "06860ebfb3f281c78fc4a083e7afc915d0f9d46bd1079454ca0d45c4e1b11430",
+        "3740741dd299310f4431a333816c086efd4be606113d404efb2b835b3a23297d",
     (7, "zh", "greedy-random", True):
         "6779c2cdf213c1f5683cbc889a276f8095a96ac3c39d27aa9028caea81bca4a3",
     (5, "en", "random-greedy", False):
-        "9397acb4f65f81a0cbee525b0783b2247a09bf40fe5f76ae0c2176969771ff7a",
+        "c3705fb8af01f89e1c6e480d10652d56d43f5e4aa55a1e59d4038347bed1038b",
+    (5, "zh", "random-greedy", False):
+        "93361485ba6b60475fff67eeee14a3926d382a77c094612659e9c61b5894b0a5",
+    (7, "zh", "random-greedy", False):
+        "a4ad7b36c2fbe48a6c470f8f78902ef18613b7cc625386ba30168af91b52cb95",
 }
 
 

@@ -16,9 +16,9 @@ from bab.parsing import (
     format_reply,
     parse_response,
 )
-from bab.prompts import LOCALES, load_template, render_observation
+from bab.prompts import _PHRASES, LOCALES, feedback_text, load_template, render_observation
 from bab.stages import load_stage
-from bab.types import Action, Disposition, Goal
+from bab.types import Action, Disposition, Goal, Orientation, Pos, TurnRecord
 
 from conftest import agent, base, make_world
 
@@ -120,6 +120,91 @@ def test_last_feedback_rendered():
     mine = next(r for r in records if r.agent_id == 1)
     text = render_observation(w, 1, last_record=mine)
     assert "#Move_up#" in text.split("#Last round operation:")[1]
+
+
+# every feedback branch as (action, outcome); pinned per locale below
+FEEDBACK_CASES = {
+    "none": None,
+    "moved": ("#Move_left#", {"result": "moved"}),
+    "blocked_wall": ("#Move_up#", {"result": "blocked", "blocker": "wall"}),
+    "blocked_tank": ("#Move_down#", {"result": "blocked", "blocker": "tank"}),
+    "blocked_base": ("#Move_left#", {"result": "blocked", "blocker": "base"}),
+    "blocked_boundary": ("#Move_right#", {"result": "blocked", "blocker": "boundary"}),
+    "hit_wall": ("#Shoot#", {"result": "hit_wall", "cell": [40, 96]}),
+    "hit_tank": ("#Shoot#", {"result": "hit_tank", "target": 7, "destroyed": False}),
+    "destroyed": ("#Shoot#", {"result": "hit_tank", "target": 7, "destroyed": True}),
+    "hit_base": ("#Shoot#", {"result": "hit_base", "target": 102}),
+    "no_hit": ("#Shoot#", {"result": "no_hit"}),
+    "noop": (None, {"result": "noop", "reason": "invalid_format"}),
+}
+# what sits one move ahead of agent 1 at (200, 200) facing up
+AHEAD_CASES = {
+    "clear": {},
+    "boundary": {"tanks": [agent(1, 200, 0)]},
+    "wall": {"walls": {(25, 21)}},
+    "tank": {"tanks": [agent(1, 200, 200), agent(2, 200, 168, team=1)]},
+    "base": {"bases": [base(101, 200, 168, team=1)]},
+}
+PHRASE_PINS = {
+    "en": {
+        "none": "None",
+        "moved": "Moved left.",
+        "blocked_wall": "Move blocked by a wall; now facing up.",
+        "blocked_tank": "Move blocked by another tank; now facing down.",
+        "blocked_base": "Move blocked by a base; now facing left.",
+        "blocked_boundary": "Move blocked by the map boundary; now facing right.",
+        "hit_wall": "Shot hit a wall cell at (40, 96).",
+        "hit_tank": "Shot hit tank 7.",
+        "destroyed": "Shot hit tank 7; tank 7 was destroyed.",
+        "hit_base": "Shot hit base 102; the base is destroyed.",
+        "no_hit": "Shot hit nothing.",
+        "noop": "No valid operation was executed.",
+        "ahead_clear": "Ahead: clear",
+        "ahead_boundary": "Ahead: map boundary",
+        "ahead_wall": "Ahead: wall at (200, 168)",
+        "ahead_tank": "Ahead: tank 2",
+        "ahead_base": "Ahead: base 101",
+    },
+    "zh": {
+        "none": "无",
+        "moved": "向左移动成功。",
+        "blocked_wall": "移动被wall阻挡，当前朝向上。",
+        "blocked_tank": "移动被其他坦克阻挡，当前朝向下。",
+        "blocked_base": "移动被基地阻挡，当前朝向左。",
+        "blocked_boundary": "移动被地图边界阻挡，当前朝向右。",
+        "hit_wall": "射击命中wall(40, 96)。",
+        "hit_tank": "射击命中坦克7。",
+        "destroyed": "射击命中坦克7，坦克7已被摧毁。",
+        "hit_base": "射击命中基地102，基地已被摧毁。",
+        "no_hit": "射击未命中任何目标。",
+        "noop": "未执行有效操作。",
+        "ahead_clear": "前方: 无障碍",
+        "ahead_boundary": "前方: 地图边界",
+        "ahead_wall": "前方: wall (200, 168)",
+        "ahead_tank": "前方: 坦克 2",
+        "ahead_base": "前方: 基地 101",
+    },
+}
+
+
+def feedback_record(action: str | None, outcome: dict) -> TurnRecord:
+    return TurnRecord(turn=0, agent_id=1, pos_before=Pos(200, 200), pos_after=Pos(200, 200),
+                      facing_after=Orientation.UP, action=action, target_id=None, coop=None,
+                      format_ok=action is not None, outcome=outcome, score_delta=0,
+                      objective=None, alive_after=True)
+
+
+@pytest.mark.parametrize("locale", LOCALES)
+def test_locale_phrases(locale):
+    pins = PHRASE_PINS[locale]
+    for name, case in FEEDBACK_CASES.items():
+        record = feedback_record(*case) if case is not None else None
+        assert feedback_text(record, locale) == pins[name], name
+    for kind, world_kw in AHEAD_CASES.items():
+        w = make_world(**{"tanks": [agent(1, 200, 200)], **world_kw})
+        assert pins[f"ahead_{kind}"] in render_observation(w, 1, locale).split("\n"), kind
+    # every locale defines the same phrases
+    assert _PHRASES[locale].keys() == _PHRASES[LOCALES[0]].keys()
 
 
 # ----------------------------------------------------------------------

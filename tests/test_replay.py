@@ -174,6 +174,7 @@ def test_log_with_every_agent_dead_verifies(tmp_path):
     result = run_episode(cfg, 5984, path)
     log = read_log(path)
     assert not result.world.live_agents()
+    assert log.turns[-1]["alive_after"] is False
     assert log.turns[-1]["turn"] + 1 < log.end["turns"]
     assert replay_verify(log).ok
 
