@@ -35,7 +35,7 @@ def route_coop(
 ) -> list[dict]:
     """Apply this turn's cooperation commands; returns loggable events.
 
-    Event dicts carry: turn, kind (request/keep/stop/accept/reject/drop),
+    Event dicts carry: turn, event (request/keep/stop/accept/reject/drop),
     from, and optionally to/message/reason.
     """
     if not coop_enabled:
@@ -55,10 +55,10 @@ def route_coop(
         elif coop.kind is CoopKind.STOP:
             removed = _drop_pairs(world, agent_id)
             if removed:
-                events.append({"turn": world.turn, "kind": "stop", "from": agent_id})
+                events.append({"turn": world.turn, "event": "stop", "from": agent_id})
         elif coop.kind is CoopKind.KEEP:
             if _active_pairs(world, agent_id):
-                events.append({"turn": world.turn, "kind": "keep", "from": agent_id})
+                events.append({"turn": world.turn, "event": "keep", "from": agent_id})
     return events
 
 
@@ -80,12 +80,12 @@ def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
             msg.disposition = Disposition.ACCEPTED
             world.coop_pairs.add(_pair(agent_id, msg.from_id))
             events.append(
-                {"turn": world.turn, "kind": "accept", "from": agent_id, "to": msg.from_id}
+                {"turn": world.turn, "event": "accept", "from": agent_id, "to": msg.from_id}
             )
         else:
             msg.disposition = Disposition.REJECTED
             events.append(
-                {"turn": world.turn, "kind": "reject", "from": agent_id, "to": msg.from_id}
+                {"turn": world.turn, "event": "reject", "from": agent_id, "to": msg.from_id}
             )
     return events
 
@@ -93,7 +93,7 @@ def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
 def _route_request(world: WorldState, sender_id: int, coop) -> dict:
     event = {
         "turn": world.turn,
-        "kind": "request",
+        "event": "request",
         "from": sender_id,
         "to": coop.to_id,
         "message": coop.message,
@@ -101,7 +101,7 @@ def _route_request(world: WorldState, sender_id: int, coop) -> dict:
     reason = _drop_reason(world, sender_id, coop.to_id)
     if reason is not None:
         log.debug("dropping coop request %s->%s: %s", sender_id, coop.to_id, reason)
-        event.update(kind="drop", reason=reason)
+        event.update(event="drop", reason=reason)
         return event
     world.coop_history.append(
         CoopMessage(turn=world.turn, from_id=sender_id, to_id=coop.to_id, body=coop.message)

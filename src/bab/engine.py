@@ -194,18 +194,19 @@ def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnR
         records.append(
             TurnRecord(
                 turn=world.turn,
-                agent_id=agent.id,
+                agent=agent.id,
                 pos_before=pos_before[agent.id],
                 pos_after=agent.pos,
-                facing_after=agent.facing,
+                facing=agent.facing,
                 action=parsed.action.value if parsed.action else None,
-                target_id=parsed.target_id,
+                target=parsed.target_id,
                 coop=parsed.coop_dict(),
                 format_ok=parsed.format_ok,
                 outcome=outcome,
                 score_delta=agent.score - score0,
                 objective=objectives[agent.id],
                 alive_after=agent.alive,
+                reply=parsed.raw,
             )
         )
 
@@ -226,7 +227,7 @@ def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnR
         world.status, world.winner_team = status
     # death freezes position; records reflect liveness after the NPCs acted
     for rec in records:
-        rec.alive_after = world.tanks[rec.agent_id].alive
+        rec.alive_after = world.tanks[rec.agent].alive
     return records
 
 

@@ -65,18 +65,17 @@ def move_accuracy(records: list[TurnRecord], denominator: str = "moves") -> floa
 
 def _move_is_correct(r: TurnRecord) -> bool:
     dx, dy = MOVE_DIRECTIONS[Action(r.action)].delta
-    before = Pos(*r.pos_before)
+    before = r.pos_before
     after = Pos(before.x + dx * MOVE_STEP, before.y + dy * MOVE_STEP)
-    objective = Pos(*r.objective)
-    return after.l1(objective) < before.l1(objective)
+    return after.l1(r.objective) < before.l1(r.objective)
 
 
 def episode_score(records: list[TurnRecord], primary_ids: list[int]) -> int:
-    known = {r.agent_id for r in records}
+    known = {r.agent for r in records}
     unknown = set(primary_ids) - known
     if unknown:
         raise MetricsError(f"unknown agent ids {sorted(unknown)}")
-    return sum(r.score_delta for r in records if r.agent_id in primary_ids)
+    return sum(r.score_delta for r in records if r.agent in primary_ids)
 
 
 def goal_completion(f_dis: float, initial_distance: float) -> float:
@@ -135,13 +134,13 @@ def compute_episode(
     """
     by_agent: dict[int, list[TurnRecord]] = {}
     for r in records:
-        by_agent.setdefault(r.agent_id, []).append(r)
+        by_agent.setdefault(r.agent, []).append(r)
 
     per_agent: dict[int, AgentMetrics] = {}
     for agent_id, recs in sorted(by_agent.items()):
         recs.sort(key=lambda r: r.turn)
-        p_s = Pos(*recs[0].pos_before)
-        p_e = Pos(*recs[-1].pos_after)
+        p_s = recs[0].pos_before
+        p_e = recs[-1].pos_after
         target = targets[agent_id]
         f_dis = forward_distance(p_s, p_e, target)
         initial = p_s.l1(target) / MOVE_STEP

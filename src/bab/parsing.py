@@ -50,12 +50,6 @@ class CoopCommand:
             d["message"] = self.message
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict | None) -> "CoopCommand | None":
-        if d is None:
-            return None
-        return cls(CoopKind(d["kind"]), d.get("to"), d.get("message", ""))
-
 
 NO_COOP = CoopCommand(CoopKind.NO)
 

@@ -4,23 +4,27 @@ Each line is one record tagged with its kind: a ``header`` (resolved
 stage config, seed, agent bindings, layout, distance targets), one
 ``turn`` record per live agent per turn, ``coop`` records for routed
 cooperation events, and a final ``end`` record carrying the canonical
-world hash. Lines are flushed as they are written, so a crash loses at
-most the turn in flight, and any prefix cut at a line boundary is still
-parseable and verifiable up to its last complete turn.
+world hash. A turn line is ``TurnRecord.to_dict()``, read back with
+``TurnRecord.from_dict``. Lines are flushed as they are written, so a
+crash loses at most the turn in flight, and any prefix cut at a line
+boundary is still parseable and verifiable up to its last complete turn.
+
+Replay re-parses each logged reply, exactly as the live run parsed it,
+and compares every field the engine fills.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .coop import route_coop
 from .engine import step_turn
 from .metrics import EpisodeSummary, compute_episode
-from .parsing import Action, CoopCommand, ParsedAction
+from .parsing import parse_response
 from .stages import StageOverrides, load_stage
-from .types import Orientation, Pos, TurnRecord, WorldState
+from .types import Pos, TurnRecord, WorldState
 
 LOG_VERSION = 1
 
@@ -108,11 +112,10 @@ class ReplayWriter:
         )
 
     def write_turn(self, record: TurnRecord) -> None:
-        self._write(turn_record_to_dict(record))
+        self._write(record.to_dict())
 
     def write_coop(self, event: dict) -> None:
-        record = {"event" if k == "kind" else k: v for k, v in event.items()}
-        self._write({"kind": "coop", **record})
+        self._write({"kind": "coop", **event})
 
     def write_end(
         self, world: WorldState, summary: EpisodeSummary | None = None
@@ -135,68 +138,19 @@ class ReplayWriter:
         self._write(record)
 
 
-def turn_record_to_dict(r: TurnRecord) -> dict:
-    return {
-        "kind": "turn",
-        "turn": r.turn,
-        "agent": r.agent_id,
-        "pos_before": list(r.pos_before),
-        "pos_after": list(r.pos_after),
-        "facing": r.facing_after.value,
-        "action": r.action,
-        "target": r.target_id,
-        "coop": r.coop,
-        "format_ok": r.format_ok,
-        "outcome": r.outcome,
-        "score_delta": r.score_delta,
-        "objective": None if r.objective is None else list(r.objective),
-        "alive_after": r.alive_after,
-        "prompt_sha256": r.prompt_digest,
-        "reply": r.raw_reply,
-        "error": r.error,
-        "attempts": r.attempts,
-        "latency_ms": r.latency_ms,
-    }
-
-
-def turn_record_from_dict(d: dict) -> TurnRecord:
-    return TurnRecord(
-        turn=d["turn"],
-        agent_id=d["agent"],
-        pos_before=Pos(*d["pos_before"]),
-        pos_after=Pos(*d["pos_after"]),
-        facing_after=Orientation(d["facing"]),
-        action=d["action"],
-        target_id=d["target"],
-        coop=d["coop"],
-        format_ok=d["format_ok"],
-        outcome=d["outcome"],
-        score_delta=d["score_delta"],
-        objective=None if d["objective"] is None else Pos(*d["objective"]),
-        alive_after=d["alive_after"],
-        prompt_digest=d.get("prompt_sha256", ""),
-        raw_reply=d.get("reply", ""),
-        error=d.get("error"),
-        attempts=d.get("attempts", 0),
-        latency_ms=d.get("latency_ms", 0.0),
-    )
-
-
 @dataclass
 class ReplayLog:
     header: dict
-    turns: list[dict]
+    turns: list[TurnRecord]
     coops: list[dict]
     end: dict | None
 
-    @property
-    def turn_records(self) -> list[TurnRecord]:
-        return [turn_record_from_dict(d) for d in self.turns]
-
 
 def read_log(path: str | Path) -> ReplayLog:
+    """Read a log, decoding each turn line into a ``TurnRecord``; a line
+    that cannot be decoded raises ``ReplayError``."""
     header = None
-    turns: list[dict] = []
+    turn_lines: list[tuple[int, dict]] = []
     coops: list[dict] = []
     end = None
     for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
@@ -206,11 +160,11 @@ def read_log(path: str | Path) -> ReplayLog:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReplayError(f"{path}: bad record on line {i + 1}: {exc}") from exc
-        kind = record.get("kind")
+        kind = record.get("kind") if isinstance(record, dict) else None
         if kind == "header":
             header = record
         elif kind == "turn":
-            turns.append(record)
+            turn_lines.append((i + 1, record))
         elif kind == "coop":
             coops.append(record)
         elif kind == "end":
@@ -219,6 +173,12 @@ def read_log(path: str | Path) -> ReplayLog:
             raise ReplayError(f"{path}: unknown record kind {kind!r} on line {i + 1}")
     if header is None:
         raise ReplayError(f"{path}: missing header record")
+    turns: list[TurnRecord] = []
+    for line_no, record in turn_lines:
+        try:
+            turns.append(TurnRecord.from_dict(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReplayError(f"{path}: bad turn record on line {line_no}: {exc!r}") from exc
     return ReplayLog(header=header, turns=turns, coops=coops, end=end)
 
 
@@ -232,42 +192,35 @@ class VerifyResult:
         return self.ok
 
 
-_COMPARED_FIELDS = (
-    "pos_before",
-    "pos_after",
-    "facing",
-    "action",
-    "target",
-    "format_ok",
-    "outcome",
-    "score_delta",
-    "objective",
-    "alive_after",
-)
+_ENGINE_FIELDS = tuple(f.name for f in fields(TurnRecord) if f.default is MISSING)
 
 
 def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
-    """Re-simulate from the header's seed applying the logged actions.
+    """Re-simulate from the header's seed, re-parsing each logged reply.
 
-    Passes only if every per-turn outcome matches and, when the end
-    record is present, the final canonical world hash matches too.
-    Incomplete trailing turns (crash leftovers) are ignored. Turns after
-    the last agent died write no records, so a finished log is played on
-    without actions until the world ends.
+    Each turn's actions come from ``parse_response`` on the logged
+    replies, the same call the live run made on the same text. Passes
+    only if every engine-filled turn field (action, target, coop,
+    positions, outcome, score, objective, liveness) matches the log and,
+    when the end record is present, the final canonical world hash
+    matches too. Incomplete trailing turns (crash leftovers) are ignored.
+    Turns after the last agent died write no records, so a finished log
+    is played on without actions until the world ends.
     """
     if not isinstance(log, ReplayLog):
         log = read_log(log)
     header = log.header
     overrides = StageOverrides.from_mapping(header.get("overrides", {}))
-    world = load_stage(header["stage_id"], header["seed"], overrides)
+    stage_id = header["stage_id"]
+    world = load_stage(stage_id, header["seed"], overrides)
     coop_enabled = header.get("coop_enabled", True)
 
-    by_turn: dict[int, list[dict]] = {}
+    by_turn: dict[int, list[TurnRecord]] = {}
     for rec in log.turns:
-        by_turn.setdefault(rec["turn"], []).append(rec)
+        by_turn.setdefault(rec.turn, []).append(rec)
 
     for turn in sorted(by_turn):
-        logged = {r["agent"]: r for r in by_turn[turn]}
+        logged = {r.agent: r for r in by_turn[turn]}
         if world.status is not None:
             return VerifyResult(False, turn, "log continues past episode end")
         if turn != world.turn:
@@ -277,21 +230,17 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
             if log.end is None and turn == max(by_turn):
                 break  # truncated mid-turn; verified up to here
             return VerifyResult(False, turn, "turn records do not cover live agents")
-        try:
-            actions = {a_id: _parsed_from_record(rec) for a_id, rec in logged.items()}
-        except (ValueError, KeyError) as exc:
-            return VerifyResult(False, turn, f"unreadable turn record: {exc}")
+        actions = {a_id: parse_response(stage_id, rec.reply) for a_id, rec in logged.items()}
         route_coop(world, actions, coop_enabled)
         for rec in step_turn(world, actions):
-            replayed = turn_record_to_dict(rec)
-            reference = logged[rec.agent_id]
-            for key in _COMPARED_FIELDS:
-                if replayed[key] != reference.get(key):
+            reference = logged[rec.agent]
+            for key in _ENGINE_FIELDS:
+                replayed, recorded = getattr(rec, key), getattr(reference, key)
+                if replayed != recorded:
                     return VerifyResult(
                         False,
                         turn,
-                        f"agent {rec.agent_id}: {key} diverged "
-                        f"({replayed[key]!r} != {reference.get(key)!r})",
+                        f"agent {rec.agent}: {key} diverged ({replayed!r} != {recorded!r})",
                     )
 
     if log.end is not None:
@@ -304,16 +253,6 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
         if reason != log.end.get("reason"):
             return VerifyResult(False, None, "end reason mismatch")
     return VerifyResult(True)
-
-
-def _parsed_from_record(rec: dict) -> ParsedAction:
-    return ParsedAction(
-        action=Action(rec["action"]) if rec["action"] else None,
-        target_id=rec["target"],
-        coop=CoopCommand.from_dict(rec["coop"]),
-        format_ok=rec["format_ok"],
-        raw=rec.get("reply", ""),
-    )
 
 
 def metrics_from_log(
@@ -330,7 +269,7 @@ def metrics_from_log(
         stage_id=header["stage_id"],
         model=header.get("model", "unknown"),
         seed=header["seed"],
-        records=log.turn_records,
+        records=log.turns,
         targets=targets,
         primary_ids=list(header["primary_ids"]),
         end_reason=log.end["reason"],

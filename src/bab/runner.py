@@ -122,15 +122,14 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
                 for event in coop_events:
                     writer.write_coop(event)
             for record in records:
-                prompt, exchange = meta[record.agent_id]
-                record.prompt_digest = hashlib.sha256(
+                prompt, exchange = meta[record.agent]
+                record.prompt_sha256 = hashlib.sha256(
                     prompt.encode("utf-8")
                 ).hexdigest()
-                record.raw_reply = exchange.response
                 record.error = exchange.error
                 record.attempts = exchange.attempt_count
                 record.latency_ms = exchange.latency_ms
-                last_record[record.agent_id] = record
+                last_record[record.agent] = record
                 all_records.append(record)
                 if writer is not None:
                     writer.write_turn(record)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -258,27 +258,51 @@ class ShootOutcome:
 
 @dataclass
 class TurnRecord:
-    """Per-agent, per-turn log entry; the engine fills the simulation fields
-    and the harness adds the prompt/exchange metadata."""
+    """Per-agent, per-turn log entry. The field names are the keys of a
+    ``turn`` line in the replay log. The engine fills the fields without a
+    default and the reply it acted on; the harness adds the prompt and
+    exchange metadata."""
 
     turn: int
-    agent_id: int
+    agent: int
     pos_before: Pos
     pos_after: Pos
-    facing_after: Orientation
+    facing: Orientation
     action: str | None
-    target_id: int | None
+    target: int | None
     coop: dict | None
     format_ok: bool
     outcome: dict
     score_delta: int
     objective: Pos | None
     alive_after: bool
-    prompt_digest: str = ""
-    raw_reply: str = ""
+    prompt_sha256: str = ""
+    reply: str = ""
     error: str | None = None
     attempts: int = 0
     latency_ms: float = 0.0
+
+    def to_dict(self) -> dict:
+        # json writes Pos as a list and the str-enum facing as its value
+        return {"kind": "turn", **vars(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TurnRecord":
+        """Decode a turn line; KeyError, TypeError or ValueError if malformed."""
+        values = {name: d[name] if default is MISSING else d.get(name, default)
+                  for name, default in _TURN_FIELDS}
+        values["pos_before"] = Pos(*values["pos_before"])
+        values["pos_after"] = Pos(*values["pos_after"])
+        if values["objective"] is not None:
+            values["objective"] = Pos(*values["objective"])
+        values["facing"] = Orientation(values["facing"])
+        if not isinstance(values["reply"], str):
+            raise TypeError("reply is not a string")
+        return cls(**values)
+
+
+# (name, default) per field; MISSING marks the fields the engine fills
+_TURN_FIELDS = tuple((f.name, f.default) for f in fields(TurnRecord))
 
 
 @dataclass

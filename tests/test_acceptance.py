@@ -321,11 +321,12 @@ def test_criterion_6_parser_fidelity():
 
 
 def brute_force_metrics(log_path, agent_id: int):
-    """Event-scan recomputation straight off the log dicts: no shared
-    code with the metrics module."""
-    log = read_log(log_path)
-    target = log.header["targets"][str(agent_id)]
-    rows = [d for d in log.turns if d["agent"] == agent_id]
+    """Event-scan recomputation straight off the log's JSON lines: no
+    shared code with the replay or metrics modules."""
+    records = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+    header = next(d for d in records if d["kind"] == "header")
+    target = header["targets"][str(agent_id)]
+    rows = [d for d in records if d["kind"] == "turn" and d["agent"] == agent_id]
     rows.sort(key=lambda d: d["turn"])
 
     def l1(p, q):

@@ -126,3 +126,26 @@ def test_macc_denominator_flag(tmp_path):
     assert code == EXIT_OK
     header = json.loads(next(out_dir.glob("*.jsonl")).read_text().splitlines()[0])
     assert header["macc_denominator"] == "formatted"
+
+
+def test_turn_line_missing_agent_fails_verify_and_is_skipped_by_report(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--seed", "0", "--runs", "2",
+                   "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
+    bad, good = sorted(out_dir.glob("*.jsonl"))
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    del record["agent"]
+    lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert run_cli("verify", str(bad)) == EXIT_VERIFY_FAIL
+    assert capsys.readouterr().out.startswith("FAIL:")
+
+    assert run_cli("report", str(out_dir)) == EXIT_OK
+    captured = capsys.readouterr()
+    assert f"skipping {bad.name}" in captured.err
+    assert "F Dis" in captured.out
+    csv_lines = (out_dir / "episodes.csv").read_text(encoding="utf-8").splitlines()
+    assert len(csv_lines) == 2 and csv_lines[1].startswith("1,random,1,")

@@ -5,17 +5,21 @@ references and once the other way round, seed 0, plus ablation runs with
 cooperation off (stage 5 in both locales, stage 7 in Chinese). A change
 anywhere in layout, rendering, parsing, the local policies, turn
 resolution, cooperation routing, metrics or log encoding changes one of
-these digests, so a refactor that keeps them keeps behaviour.
+these digests, so a refactor that keeps them keeps behaviour. Each
+turn line must also re-encode byte-identically through ``TurnRecord``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from bab.agents import AgentSpec
 from bab.runner import RunConfig, run_episode
+from bab.types import TurnRecord
 
 PAIRINGS = {
     "random-greedy": ("random", "greedy"),
@@ -89,8 +93,8 @@ LOG_PINS = {
 }
 
 
-def log_sha256(tmp_path, stage_id: int, locale: str, pairing: str,
-               coop_enabled: bool) -> str:
+def run_pinned(tmp_path, stage_id: int, locale: str, pairing: str,
+               coop_enabled: bool) -> Path:
     primary, reference = PAIRINGS[pairing]
     config = RunConfig(
         stage_id=stage_id,
@@ -102,9 +106,20 @@ def log_sha256(tmp_path, stage_id: int, locale: str, pairing: str,
     )
     path = tmp_path / "episode.jsonl"
     run_episode(config, 0, path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return path
+
+
+def dump(record: dict) -> str:
+    """The replay log's JSON settings."""
+    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
 
 
 @pytest.mark.parametrize("case", sorted(LOG_PINS), ids=lambda c: "-".join(map(str, c)))
 def test_whole_log_pins(tmp_path, case):
-    assert log_sha256(tmp_path, *case) == LOG_PINS[case]
+    path = run_pinned(tmp_path, *case)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == LOG_PINS[case]
+    # every turn line decodes to a TurnRecord that encodes back to the same bytes
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if record["kind"] == "turn":
+            assert dump(TurnRecord.from_dict(record).to_dict()) == line

@@ -29,12 +29,12 @@ def record(turn, agent_id=1, action=None, format_ok=True, pos=(256, 256),
     pos = Pos(*pos)
     return TurnRecord(
         turn=turn,
-        agent_id=agent_id,
+        agent=agent_id,
         pos_before=pos,
         pos_after=pos,
-        facing_after=Orientation.UP,
+        facing=Orientation.UP,
         action=token,
-        target_id=None,
+        target=None,
         coop=None,
         format_ok=format_ok,
         outcome=outcome or {"result": "noop"},

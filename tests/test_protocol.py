@@ -117,7 +117,7 @@ def test_last_feedback_rendered():
     actions = {a.id: ParsedAction(Action.MOVE_UP, 0, None, True)
                for a in w.live_agents()}
     records = step_turn(w, actions)
-    mine = next(r for r in records if r.agent_id == 1)
+    mine = next(r for r in records if r.agent == 1)
     text = render_observation(w, 1, last_record=mine)
     assert "#Move_up#" in text.split("#Last round operation:")[1]
 
@@ -188,8 +188,8 @@ PHRASE_PINS = {
 
 
 def feedback_record(action: str | None, outcome: dict) -> TurnRecord:
-    return TurnRecord(turn=0, agent_id=1, pos_before=Pos(200, 200), pos_after=Pos(200, 200),
-                      facing_after=Orientation.UP, action=action, target_id=None, coop=None,
+    return TurnRecord(turn=0, agent=1, pos_before=Pos(200, 200), pos_after=Pos(200, 200),
+                      facing=Orientation.UP, action=action, target=None, coop=None,
                       format_ok=action is not None, outcome=outcome, score_delta=0,
                       objective=None, alive_after=True)
 
@@ -378,7 +378,7 @@ def test_request_to_teammate_lands_in_next_prompt():
     actions = noop_actions(w)
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 2, "rush their base"))
     events = route_coop(w, actions, True)
-    assert [e["kind"] for e in events] == ["request"]
+    assert [e["event"] for e in events] == ["request"]
     step_turn(w, actions)
     text = render_observation(w, 2)
     history = text.split("Historical cooperation attack information:")[1]
@@ -390,7 +390,7 @@ def test_cross_team_request_dropped_in_intra_stage():
     actions = noop_actions(w)
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 3, "truce?"))
     events = route_coop(w, actions, True)
-    assert events[0]["kind"] == "drop"
+    assert events[0]["event"] == "drop"
     assert w.coop_history == []
 
 
@@ -400,7 +400,7 @@ def test_same_team_request_dropped_in_inter_stage():
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 2, "hold"))
     actions[3] = parsed_coop(CoopCommand(CoopKind.REQUEST, 1, "team up on 2?"))
     events = route_coop(w, actions, True)
-    kinds = {e["from"]: e["kind"] for e in events}
+    kinds = {e["from"]: e["event"] for e in events}
     assert kinds[1] == "drop"
     assert kinds[3] == "request"
 
@@ -414,7 +414,7 @@ def test_request_to_npc_or_dead_agent_dropped():
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 9, "hello npc"))
     actions[2] = parsed_coop(CoopCommand(CoopKind.REQUEST, 99, "hello void"))
     events = route_coop(w, actions, True)
-    assert all(e["kind"] == "drop" for e in events)
+    assert all(e["event"] == "drop" for e in events)
 
 
 def test_acceptance_inferred_from_next_command():
@@ -427,7 +427,7 @@ def test_acceptance_inferred_from_next_command():
     follow = noop_actions(w)
     follow[2] = parsed_coop(CoopCommand(CoopKind.KEEP))
     events = route_coop(w, follow, True)
-    assert {"turn": 1, "kind": "accept", "from": 2, "to": 1} in events
+    assert {"turn": 1, "event": "accept", "from": 2, "to": 1} in events
     assert (1, 2) in w.coop_pairs
     assert w.coop_history[0].disposition is Disposition.ACCEPTED
 

@@ -58,20 +58,47 @@ def test_untampered_log_verifies(episode_log):
     assert result.ok, result
 
 
-def test_flipped_action_fails_at_that_turn(episode_log):
-    lines = episode_log.read_text().splitlines()
+@pytest.fixture(scope="module")
+def stage_logs(tmp_path_factory) -> dict[int, Path]:
+    logs = {}
+    for stage_id in (2, 5, 7):
+        logs[stage_id] = tmp_path_factory.mktemp("logs") / f"stage{stage_id}.jsonl"
+        run_episode(small_config(stage_id=stage_id), 0, logs[stage_id])
+    return logs
+
+
+def _edit(record: dict, field: str) -> bool:
+    """Edit ``field`` of a turn line in place; False if it has nothing to edit."""
+    if field == "action" and record["action"] == "#Move_up#":
+        record["action"] = "#Move_down#"
+    elif field == "reply" and "#Move_up#" in record["reply"]:
+        record["reply"] = record["reply"].replace("#Move_up#", "#Move_down#")
+    elif field == "coop" and record["coop"] is not None:
+        swapped = "keep_coop" if record["coop"]["kind"] == "stop_coop" else "stop_coop"
+        record["coop"] = {"kind": swapped}
+    else:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("stage_id, field", [
+    (2, "action"), (2, "reply"),
+    (5, "action"), (5, "reply"), (5, "coop"),
+    (7, "action"), (7, "reply"), (7, "coop"),
+], ids=str)
+def test_edited_turn_field_fails_at_that_turn(stage_logs, tmp_path, stage_id, field):
+    lines = stage_logs[stage_id].read_text(encoding="utf-8").splitlines()
     idx, record = next(
-        (i, json.loads(line))
-        for i, line in enumerate(lines)
-        if json.loads(line)["kind"] == "turn"
-        and json.loads(line)["action"] == "#Move_up#"
+        (i, record)
+        for i, record in enumerate(map(json.loads, lines))
+        if record["kind"] == "turn" and _edit(record, field)
     )
-    record["action"] = "#Move_down#"
     lines[idx] = json.dumps(record, ensure_ascii=False, sort_keys=True,
                             separators=(",", ":"))
-    tampered = episode_log.with_name("tampered.jsonl")
+    tampered = tmp_path / "tampered.jsonl"
     tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+    assert replay_verify(stage_logs[stage_id]).ok
     result = replay_verify(tampered)
     assert not result.ok
     assert result.divergence_turn == record["turn"]
@@ -174,16 +201,16 @@ def test_log_with_every_agent_dead_verifies(tmp_path):
     result = run_episode(cfg, 5984, path)
     log = read_log(path)
     assert not result.world.live_agents()
-    assert log.turns[-1]["alive_after"] is False
-    assert log.turns[-1]["turn"] + 1 < log.end["turns"]
+    assert log.turns[-1].alive_after is False
+    assert log.turns[-1].turn + 1 < log.end["turns"]
     assert replay_verify(log).ok
 
 
 def test_missing_turns_with_live_agents_fail(episode_log):
     log = read_log(episode_log)
-    assert log.turns[-1]["alive_after"]
-    last = log.turns[-1]["turn"]
-    log.turns = [r for r in log.turns if r["turn"] != last]
+    assert log.turns[-1].alive_after
+    last = log.turns[-1].turn
+    log.turns = [r for r in log.turns if r.turn != last]
     result = replay_verify(log)
     assert not result.ok
     assert "hash" in result.detail
@@ -194,6 +221,24 @@ def test_read_log_rejects_garbage(tmp_path):
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ReplayError):
         read_log(path)
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(ReplayError, match="unknown record kind"):
+        read_log(path)
     path.write_text('{"kind":"turn","turn":0}\n', encoding="utf-8")
     with pytest.raises(ReplayError, match="missing header"):
         read_log(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda record: record.pop("agent"),
+    lambda record: record.update(reply=None),
+], ids=["missing-agent", "null-reply"])
+def test_malformed_turn_line_is_a_replay_error(episode_log, edit):
+    lines = episode_log.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    assert record["kind"] == "turn"
+    edit(record)
+    lines[1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    episode_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ReplayError, match="line 2"):
+        read_log(episode_log)
