@@ -10,7 +10,12 @@ Resolution rules:
 - Bullets are instantaneous hitscans: a point ray leaves the shooter's
   front-edge center and advances in 8-px samples until it meets the
   first wall cell, live tank footprint, blocking base footprint, or the
-  map boundary.
+  map boundary. At one sample a wall cell goes before a tank, and a tank
+  before a base.
+- A shot is resolved in one pass. The first sample inside each live
+  tank and blocking base footprint is solved in closed form; the nearest
+  one bounds the walk along the ray's centre line, which probes each
+  sample's wall cell until it meets a wall or reaches that footprint.
 """
 
 from __future__ import annotations
@@ -94,19 +99,20 @@ def apply_shoot(world: WorldState, shooter_id: int) -> ShootOutcome:
     shooter = world.require_tank(shooter_id)
     dx, dy = shooter.facing.delta
     px, py = _ray_start(shooter)
+    hit_k, target = _first_footprint(world, shooter, px, py, dx, dy)
+    k = 0
     while 0 <= px < MAP_SIZE and 0 <= py < MAP_SIZE:
         cell = world.walls.cell_at(px, py)
         if cell is not None:
             world.walls.remove(*cell)
             return ShootOutcome("hit_wall", cell=(cell[0] * WALL_SIZE, cell[1] * WALL_SIZE))
-        target = world.tank_at_rect(px, py, exclude_id=shooter_id, size=1)
-        if target is not None:
-            return _resolve_tank_hit(world, shooter, target)
-        base = world.blocking_base_at_rect(px, py, size=1)
-        if base is not None:
-            return _resolve_base_hit(world, shooter, base)
+        if k == hit_k:
+            if isinstance(target, Tank):
+                return _resolve_tank_hit(world, shooter, target)
+            return _resolve_base_hit(world, shooter, target)
         px += dx * WALL_SIZE
         py += dy * WALL_SIZE
+        k += 1
     return ShootOutcome("no_hit")
 
 
@@ -121,6 +127,31 @@ def _ray_start(shooter: Tank) -> tuple[int, int]:
     if shooter.facing is Orientation.LEFT:
         return shooter.pos.x - WALL_SIZE, cy
     return shooter.pos.x + TANK_SIZE, cy
+
+
+def _first_footprint(world: WorldState, shooter: Tank, px: int, py: int, dx: int, dy: int):
+    """(k, entity) for the footprint that the ray from (px, py) enters
+    first, k being the index of its first 8-px sample inside it; (-1,
+    None) when the ray crosses none. Live non-shooter tanks come before
+    blocking bases, each in dict order, so ties keep the march's order."""
+    axis, d = (0, dx) if dx else (1, dy)  # axis 0: the ray travels along x
+    start, across = (px, py) if axis == 0 else (py, px)
+    best_k, best = -1, None
+    candidates = [t for t in world.tanks.values() if t.alive and t.id != shooter.id]
+    candidates += [b for b in world.bases.values() if b.blocking]
+    for item in candidates:
+        pos = item.pos
+        if not pos[1 - axis] <= across < pos[1 - axis] + TANK_SIZE:
+            continue
+        # distance along the ray from the start to the footprint's near pixel
+        near = pos[axis] if d > 0 else pos[axis] + TANK_SIZE - 1
+        lo = (near - start) * d
+        if lo <= -TANK_SIZE:
+            continue  # behind the start sample
+        k = max(0, -(-lo // WALL_SIZE))
+        if best is None or k < best_k:
+            best_k, best = k, item
+    return best_k, best
 
 
 def _resolve_tank_hit(world: WorldState, shooter: Tank, target: Tank) -> ShootOutcome:

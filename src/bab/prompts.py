@@ -25,12 +25,35 @@ from importlib import resources
 
 from .engine import probe_ahead
 from .stages import STAGE_PROTOCOLS, coop_active
-from .types import MOVE_DIRECTIONS, TANK_SIZE, Action, Base, Goal, Tank, TurnRecord, WorldState
+from .types import (
+    MOVE_DIRECTIONS,
+    TANK_SIZE,
+    WALL_LATTICE,
+    WALL_SIZE,
+    Action,
+    Base,
+    Goal,
+    Tank,
+    TurnRecord,
+    WorldState,
+)
 
 MAP_WINDOW = 96  # L-inf radius, in px, of the local wall report
 COOP_HISTORY_LIMIT = 5
 
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
+
+
+class _OriginText(dict):
+    """The text of each wall-cell origin, "(x, y)", formatted on first use
+    and then kept, so a prompt looks its cells' text up."""
+
+    def __missing__(self, origin: tuple[int, int]) -> str:
+        text = self[origin] = "({}, {})".format(*origin)
+        return text
+
+
+_WALL_TEXT = _OriginText()
 
 # words are keyed by enum value (facing, tank type, disposition, blocker);
 # lines and sentences are str.format patterns
@@ -272,26 +295,37 @@ def _map_lines(world: WorldState, agent: Tank, locale: str) -> str:
     lines = [p["ahead"].format(p["ahead_" + kind].format(*fields))]
     walls = _nearby_walls(world, agent)
     if walls:
-        lines.append(p["nearby_walls"].format(", ".join(f"({x}, {y})" for x, y in walls)))
+        lines.append(p["nearby_walls"].format(", ".join(map(_WALL_TEXT.__getitem__, walls))))
     return _block(lines)
 
 
 def _nearby_walls(world: WorldState, agent: Tank) -> list[tuple[int, int]]:
-    """Wall-cell origins within the local window; navigation stages only
-    report the half-plane ahead of the tank."""
+    """Wall-cell origins within the local window, x-major; navigation
+    stages only report the half-plane ahead of the tank."""
     cx, cy = agent.center
     forward_only = world.config.goal is Goal.NAVIGATION
     dx, dy = agent.facing.delta
+    # lattice indices whose cell centre (8 * i + 4) is within the window
+    reach = MAP_WINDOW + TANK_SIZE // 2
+    ys = _window(cy, reach)
+    present = world.walls.cells
     cells = []
-    for wx, wy in sorted(world.walls.cells):
-        x, y = wx * 8, wy * 8
-        mx, my = x + 4, y + 4
-        if max(abs(mx - cx), abs(my - cy)) > MAP_WINDOW + TANK_SIZE // 2:
-            continue
-        if forward_only and (mx - cx) * dx + (my - cy) * dy < 0:
-            continue
-        cells.append((x, y))
+    for wx in _window(cx, reach):
+        for wy in ys:
+            if (wx, wy) not in present:
+                continue
+            x, y = wx * WALL_SIZE, wy * WALL_SIZE
+            if forward_only and (x + 4 - cx) * dx + (y + 4 - cy) * dy < 0:
+                continue
+            cells.append((x, y))
     return cells
+
+
+def _window(c: int, reach: int) -> range:
+    """Lattice indices i with |8 * i + 4 - c| <= reach, clipped to the map."""
+    lo = -(-(c - reach - 4) // WALL_SIZE)
+    hi = (c + reach - 4) // WALL_SIZE
+    return range(max(0, lo), min(WALL_LATTICE - 1, hi) + 1)
 
 
 def _last_op_value(navigation: bool, locale: str, record: TurnRecord | None) -> str:

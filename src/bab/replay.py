@@ -146,9 +146,14 @@ class ReplayLog:
     end: dict | None
 
 
+# header keys that replay and metrics read without a default
+_HEADER_KEYS = ("stage_id", "seed", "targets", "primary_ids")
+
+
 def read_log(path: str | Path) -> ReplayLog:
     """Read a log, decoding each turn line into a ``TurnRecord``; a line
-    that cannot be decoded raises ``ReplayError``."""
+    that cannot be decoded, or a header without one of ``_HEADER_KEYS``,
+    raises ``ReplayError``."""
     header = None
     turn_lines: list[tuple[int, dict]] = []
     coops: list[dict] = []
@@ -173,6 +178,9 @@ def read_log(path: str | Path) -> ReplayLog:
             raise ReplayError(f"{path}: unknown record kind {kind!r} on line {i + 1}")
     if header is None:
         raise ReplayError(f"{path}: missing header record")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ReplayError(f"{path}: header lacks {', '.join(missing)}")
     turns: list[TurnRecord] = []
     for line_no, record in turn_lines:
         try:

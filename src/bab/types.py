@@ -363,14 +363,12 @@ class WorldState:
         """Teams still in the game: a team lives while its base stands."""
         return {b.team for b in self.bases.values() if not b.destroyed}
 
-    def tank_at_rect(self, x: int, y: int, exclude_id: int | None = None,
-                     size: int = TANK_SIZE) -> Tank | None:
-        """Size 1 asks about the single pixel (x, y)."""
-        return first_overlapping(self.tanks.values(), x, y, size, size,
+    def tank_at_rect(self, x: int, y: int, exclude_id: int | None = None) -> Tank | None:
+        return first_overlapping(self.tanks.values(), x, y, TANK_SIZE, TANK_SIZE,
                                  lambda t: t.alive and t.id != exclude_id)
 
-    def blocking_base_at_rect(self, x: int, y: int, size: int = TANK_SIZE) -> Base | None:
-        return first_overlapping(self.bases.values(), x, y, size, size,
+    def blocking_base_at_rect(self, x: int, y: int) -> Base | None:
+        return first_overlapping(self.bases.values(), x, y, TANK_SIZE, TANK_SIZE,
                                  lambda b: b.blocking)
 
     def base_for_team(self, team: int | None) -> Base | None:

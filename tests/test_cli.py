@@ -149,3 +149,22 @@ def test_turn_line_missing_agent_fails_verify_and_is_skipped_by_report(tmp_path,
     assert "F Dis" in captured.out
     csv_lines = (out_dir / "episodes.csv").read_text(encoding="utf-8").splitlines()
     assert len(csv_lines) == 2 and csv_lines[1].startswith("1,random,1,")
+
+
+def test_header_missing_keys_fails_verify_and_is_skipped_by_report(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--seed", "0", "--runs", "1",
+                   "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
+    bad = out_dir / "bare.jsonl"
+    bad.write_text('{"kind":"header","seed":0}\n'
+                   '{"kind":"end","reason":"turn_cap","turns":0,"world_hash":""}\n',
+                   encoding="utf-8")
+    capsys.readouterr()
+
+    assert run_cli("verify", str(bad)) == EXIT_VERIFY_FAIL
+    assert capsys.readouterr().out.startswith("FAIL:")
+
+    assert run_cli("report", str(out_dir)) == EXIT_OK
+    captured = capsys.readouterr()
+    assert f"skipping {bad.name}" in captured.err
+    assert "F Dis" in captured.out

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from bab.engine import (
+    _ray_start,
+    _resolve_base_hit,
+    _resolve_tank_hit,
     apply_move,
     apply_shoot,
     check_termination,
@@ -15,6 +18,7 @@ from bab.parsing import ParsedAction, parse_response
 from bab.stages import load_stage
 from bab.types import (
     Action,
+    Base,
     Blocker,
     DeadEntityError,
     EndReason,
@@ -22,8 +26,11 @@ from bab.types import (
     Goal,
     Orientation,
     Pos,
+    ShootOutcome,
     TankKind,
     UnknownEntityError,
+    WallGrid,
+    first_overlapping,
 )
 
 from conftest import agent, base, make_world, npc, wall_cells_for_rect
@@ -277,6 +284,128 @@ def test_shoot_matches_brute_force_oracle(seed):
             "no_hit": ("none", None),
         }[out.result]
         assert got == expected
+
+
+# ----------------------------------------------------------------------
+# one-pass ray vs the 8-px march
+# ----------------------------------------------------------------------
+
+
+def marched_shot(world, shooter_id):
+    """Reference: march the ray 8 px at a time and test, at each sample,
+    the wall cell, then every live tank, then every blocking base."""
+    shooter = world.require_tank(shooter_id)
+    dx, dy = shooter.facing.delta
+    px, py = _ray_start(shooter)
+    while 0 <= px < 512 and 0 <= py < 512:
+        cell = world.walls.cell_at(px, py)
+        if cell is not None:
+            world.walls.remove(*cell)
+            return ShootOutcome("hit_wall", cell=(cell[0] * 8, cell[1] * 8))
+        target = first_overlapping(world.tanks.values(), px, py, 1, 1,
+                                   lambda t: t.alive and t.id != shooter_id)
+        if target is not None:
+            return _resolve_tank_hit(world, shooter, target)
+        base = first_overlapping(world.bases.values(), px, py, 1, 1, lambda b: b.blocking)
+        if base is not None:
+            return _resolve_base_hit(world, shooter, base)
+        px += dx * 8
+        py += dy * 8
+    return ShootOutcome("no_hit")
+
+
+def shot_effects(world, shoot, shooter_id):
+    """Fire once, then undo the shot. Returns the outcome, its score, the
+    removed wall cells, every tank's health and score, every base's
+    state, and the wall-cell probes, in order."""
+    walls = world.walls
+    cells = set(walls.cells)
+    tanks = {t.id: (t.health, t.score) for t in world.tanks.values()}
+    bases = {b.id: b.destroyed for b in world.bases.values()}
+    probes = []
+    walls.cell_at = lambda x, y: probes.append((x, y)) or WallGrid.cell_at(walls, x, y)
+    try:
+        out = shoot(world, shooter_id)
+    finally:
+        del walls.cell_at
+    effects = (
+        out.to_dict(), out.score, cells - world.walls.cells,
+        {t.id: (t.health, t.score) for t in world.tanks.values()},
+        {b.id: b.destroyed for b in world.bases.values()},
+        probes,
+    )
+    world.walls.cells = cells
+    for t in world.tanks.values():
+        t.health, t.score = tanks[t.id]
+    for b in world.bases.values():
+        b.destroyed = bases[b.id]
+    return effects
+
+
+def assert_same_shot(world, shooter_id):
+    expected = shot_effects(world, marched_shot, shooter_id)
+    assert shot_effects(world, apply_shoot, shooter_id) == expected
+
+
+@pytest.mark.parametrize("stage_id", [3, 4, 5, 6, 7])
+def test_one_pass_ray_matches_march_on_stage_worlds(stage_id):
+    """Every facing from every 32-px position on a stage's dense walls,
+    with the tanks taking turns as the shooter."""
+    world = load_stage(stage_id, 0)
+    tanks = list(world.tanks.values())
+    positions = [(x, y) for x in range(0, 512, 32) for y in range(0, 512, 32)]
+    for i, (x, y) in enumerate(positions):
+        shooter = tanks[i % len(tanks)]
+        home = shooter.pos, shooter.facing
+        for facing in Orientation:
+            shooter.pos, shooter.facing = Pos(x, y), facing
+            assert_same_shot(world, shooter.id)
+        shooter.pos, shooter.facing = home
+
+
+RAY_EDGE_CASES = {
+    "map-edge-up": ([agent(1, 0, 0, facing=Orientation.UP)], [], set()),
+    "map-edge-left": ([agent(1, 0, 240, facing=Orientation.LEFT)], [], set()),
+    "map-edge-down": ([agent(1, 480, 480, facing=Orientation.DOWN)], [], set()),
+    "map-edge-right": ([agent(1, 480, 8, facing=Orientation.RIGHT)], [], set()),
+    "edge-facing-in": ([agent(1, 480, 240, facing=Orientation.LEFT), npc(2, 0, 240)], [], set()),
+    "adjacent-tank-up": ([agent(1, 128, 128), agent(2, 128, 96, team=1)], [], set()),
+    "adjacent-tank-left": (
+        [agent(1, 128, 128, facing=Orientation.LEFT), npc(2, 96, 112)], [], set()),
+    "adjacent-tank-right": (
+        [agent(1, 128, 128, facing=Orientation.RIGHT), npc(2, 160, 152)], [], set()),
+    "overlapping-tank": ([agent(1, 128, 128), npc(2, 128, 104)], [], set()),
+    "tank-behind": ([agent(1, 128, 128), npc(2, 128, 160)], [], set()),
+    "tank-off-column": ([agent(1, 128, 128), npc(2, 161, 0)], [], set()),
+    "tank-edge-of-column": ([agent(1, 128, 128), npc(2, 113, 0)], [], set()),
+    "tank-unaligned": ([agent(1, 128, 128, facing=Orientation.DOWN), npc(2, 131, 203)], [], set()),
+    "wall-and-tank-same-sample": (
+        [agent(1, 128, 128), npc(2, 128, 64)], [], wall_cells_for_rect(144, 88)),
+    "wall-before-tank": ([agent(1, 128, 128), npc(2, 128, 64)], [], wall_cells_for_rect(144, 104)),
+    "wall-after-tank": ([agent(1, 128, 128), npc(2, 128, 64)], [], wall_cells_for_rect(144, 56)),
+    "tank-and-base-same-sample": (
+        [agent(1, 128, 128, facing=Orientation.DOWN), agent(2, 128, 192, team=1)],
+        [base(101, 128, 192, team=1)], set()),
+    "base-before-tank": (
+        [agent(1, 128, 128, facing=Orientation.DOWN), agent(2, 128, 256, team=1)],
+        [base(101, 136, 200, team=1)], set()),
+    "two-tanks-same-sample": (
+        [agent(1, 128, 128), npc(3, 120, 48), npc(2, 136, 48)], [], set()),
+    "non-solid-base": (
+        [agent(1, 128, 128, facing=Orientation.RIGHT)], [base(101, 256, 128, solid=False)], set()),
+    "destroyed-base": (
+        [agent(1, 128, 128, facing=Orientation.RIGHT)],
+        [Base(id=101, team=1, pos=Pos(256, 128), destroyed=True)], set()),
+    "dead-tank": (
+        [agent(1, 128, 128, facing=Orientation.LEFT), agent(2, 64, 128, team=1, health=0)],
+        [], set()),
+}
+
+
+@pytest.mark.parametrize("case", RAY_EDGE_CASES)
+def test_one_pass_ray_matches_march_on_edge_cases(case):
+    tanks, bases, walls = RAY_EDGE_CASES[case]
+    assert_same_shot(make_world(tanks, bases, walls), 1)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -16,7 +17,15 @@ from bab.parsing import (
     format_reply,
     parse_response,
 )
-from bab.prompts import _PHRASES, LOCALES, feedback_text, load_template, render_observation
+from bab.prompts import (
+    _PHRASES,
+    LOCALES,
+    MAP_WINDOW,
+    _nearby_walls,
+    feedback_text,
+    load_template,
+    render_observation,
+)
 from bab.stages import load_stage
 from bab.types import Action, Disposition, Goal, Orientation, Pos, TurnRecord
 
@@ -205,6 +214,59 @@ def test_locale_phrases(locale):
         assert pins[f"ahead_{kind}"] in render_observation(w, 1, locale).split("\n"), kind
     # every locale defines the same phrases
     assert _PHRASES[locale].keys() == _PHRASES[LOCALES[0]].keys()
+
+
+# ----------------------------------------------------------------------
+# local wall window
+# ----------------------------------------------------------------------
+
+
+def full_scan_walls(world, tank):
+    """Reference: sort and scan every wall cell, keeping those whose centre
+    is within the window (and ahead of the tank on navigation stages)."""
+    cx, cy = tank.center
+    forward_only = world.config.goal is Goal.NAVIGATION
+    dx, dy = tank.facing.delta
+    cells = []
+    for wx, wy in sorted(world.walls.cells):
+        x, y = wx * 8, wy * 8
+        mx, my = x + 4, y + 4
+        if max(abs(mx - cx), abs(my - cy)) > MAP_WINDOW + 16:
+            continue
+        if forward_only and (mx - cx) * dx + (my - cy) * dy < 0:
+            continue
+        cells.append((x, y))
+    return cells
+
+
+# tank origins: the map edges, the 8-px lattice, and any pixel
+tank_coord = st.one_of(
+    st.sampled_from([0, 8, 16, 24, 32, 448, 456, 464, 472, 480]),
+    st.integers(min_value=0, max_value=60).map(lambda i: i * 8),
+    st.integers(min_value=0, max_value=480),
+)
+
+
+@st.composite
+def wall_sets(draw):
+    """Every lattice cell present with one drawn probability, from sparse
+    maps to a full lattice."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9, 1.0]))
+    return {(x, y) for x in range(64) for y in range(64) if rng.random() < density}
+
+
+@given(
+    walls=wall_sets(),
+    x=tank_coord,
+    y=tank_coord,
+    facing=st.sampled_from(list(Orientation)),
+    goal=st.sampled_from([Goal.NAVIGATION, Goal.COMPETITIVE]),
+)
+@settings(max_examples=300, deadline=None)
+def test_nearby_walls_matches_full_scan(walls, x, y, facing, goal):
+    w = make_world([agent(1, x, y, facing=facing)], walls=walls, goal=goal)
+    assert _nearby_walls(w, w.tanks[1]) == full_scan_walls(w, w.tanks[1])
 
 
 # ----------------------------------------------------------------------

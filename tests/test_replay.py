@@ -229,6 +229,28 @@ def test_read_log_rejects_garbage(tmp_path):
         read_log(path)
 
 
+@pytest.mark.parametrize("key", ["stage_id", "seed", "targets", "primary_ids"])
+def test_header_missing_a_key_is_a_replay_error(episode_log, key):
+    lines = episode_log.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    del header[key]
+    lines[0] = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    episode_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ReplayError, match=f"header lacks {key}"):
+        read_log(episode_log)
+    with pytest.raises(ReplayError):
+        replay_verify(episode_log)
+    with pytest.raises(ReplayError):
+        metrics_from_log(episode_log)
+
+
+def test_bare_header_is_a_replay_error(tmp_path):
+    path = tmp_path / "bare.jsonl"
+    path.write_text('{"kind":"header","seed":0}\n', encoding="utf-8")
+    with pytest.raises(ReplayError, match="header lacks stage_id, targets, primary_ids"):
+        read_log(path)
+
+
 @pytest.mark.parametrize("edit", [
     lambda record: record.pop("agent"),
     lambda record: record.update(reply=None),
