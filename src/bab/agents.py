@@ -3,7 +3,10 @@
 Four interchangeable policies sit behind one ``decide`` interface:
 
 - ``remote``: an HTTP chat-completion client (OpenAI-style JSON wire
-  format) with exponential-backoff retries;
+  format) that retries with full-jitter exponential backoff, honours a
+  ``Retry-After`` in seconds on 429 and 503, and keeps every attempt and
+  every sleep of one decision within one deadline, ``AgentSpec.timeout``
+  seconds after the decision starts;
 - ``random``: a seeded uniform draw over the five actions, always
   emitting the stage's exact output format;
 - ``greedy``: a deterministic navigator that closes the larger axis gap
@@ -12,13 +15,15 @@ Four interchangeable policies sit behind one ``decide`` interface:
   line.
 
 Backends never mutate the world; they only read it to synthesize
-replies. Credentials come from BAB_API_KEY, the default endpoint from
+replies, so the runner may ask several remote backends at once.
+Credentials come from BAB_API_KEY, the default endpoint from
 BAB_BASE_URL.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import time
@@ -37,7 +42,7 @@ BASE_URL_ENV = "BAB_BASE_URL"
 
 DEFAULT_TEMPERATURE = 0.2
 DEFAULT_MAX_TOKENS = 512
-DEFAULT_TIMEOUT = 60.0
+DEFAULT_TIMEOUT = 60.0  # seconds per decision, all attempts and sleeps included
 DEFAULT_RETRIES = 3
 
 ALL_ACTIONS = tuple(Action)
@@ -233,6 +238,13 @@ class RemotePolicy:
 
     The prompt's state half (the <game> block) goes in the user message;
     the instructional remainder goes in the system message.
+
+    A failed attempt is retried after a full-jitter backoff, a uniform
+    draw from ``[0, backoff_base * 2**(attempt - 1)]`` seconds, or after
+    the server's ``Retry-After`` seconds on a 429 or 503. One decision
+    may take at most ``spec.timeout`` seconds: each attempt's HTTP
+    timeout is the time still left, and when no time is left for a sleep
+    or an attempt the decision fails with ``AgentError``.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5,
@@ -240,6 +252,7 @@ class RemotePolicy:
         self.spec = spec
         self.backoff_base = backoff_base
         self.session = session or requests.Session()
+        self.jitter = random.Random()
 
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
         user, system = split_prompt(prompt)
@@ -260,13 +273,18 @@ class RemotePolicy:
         url = self.spec.base_url.rstrip("/") + "/chat/completions"
         attempts = 1 + max(0, self.spec.retries)
         start = time.monotonic()
+        deadline = start + self.spec.timeout
         last_error = "no attempt made"
         for attempt in range(1, attempts + 1):
+            left = deadline - time.monotonic()
+            if left <= 0:
+                break
+            retry_after = None
             try:
-                resp = self.session.post(
-                    url, json=payload, headers=headers, timeout=self.spec.timeout
-                )
+                resp = self.session.post(url, json=payload, headers=headers, timeout=left)
                 if resp.status_code >= 500 or resp.status_code == 429:
+                    if resp.status_code in (429, 503):
+                        retry_after = _retry_after_s(resp.headers.get("Retry-After"))
                     raise _Transient(f"HTTP {resp.status_code}")
                 resp.raise_for_status()
                 text = resp.json()["choices"][0]["message"]["content"]
@@ -280,11 +298,28 @@ class RemotePolicy:
             except (_Transient, requests.RequestException, ValueError, KeyError,
                     IndexError, TypeError) as exc:
                 last_error = str(exc) or type(exc).__name__
-                if attempt < attempts:
-                    time.sleep(self.backoff_base * (2 ** (attempt - 1)))
+                if attempt == attempts:
+                    raise AgentError(
+                        f"remote call failed after {attempts} attempts: {last_error}"
+                    ) from None
+                if retry_after is None:
+                    retry_after = self.jitter.uniform(
+                        0.0, self.backoff_base * 2 ** (attempt - 1))
+                if retry_after >= deadline - time.monotonic():
+                    break
+                time.sleep(retry_after)
         raise AgentError(
-            f"remote call failed after {attempts} attempts: {last_error}"
+            f"remote call ran out of its {self.spec.timeout:g} s deadline: {last_error}"
         )
+
+
+def _retry_after_s(value: str | None) -> float | None:
+    """A ``Retry-After`` header given in seconds; None for a date or junk."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if math.isfinite(seconds) and seconds >= 0 else None
 
 
 class _Transient(Exception):

@@ -146,14 +146,15 @@ class ReplayLog:
     end: dict | None
 
 
-# header keys that replay and metrics read without a default
+# header and end keys that replay and metrics read without a default
 _HEADER_KEYS = ("stage_id", "seed", "targets", "primary_ids")
+_END_KEYS = ("reason", "turns", "world_hash")
 
 
 def read_log(path: str | Path) -> ReplayLog:
     """Read a log, decoding each turn line into a ``TurnRecord``; a line
-    that cannot be decoded, or a header without one of ``_HEADER_KEYS``,
-    raises ``ReplayError``."""
+    that cannot be decoded, a header without one of ``_HEADER_KEYS`` or
+    an end record without one of ``_END_KEYS`` raises ``ReplayError``."""
     header = None
     turn_lines: list[tuple[int, dict]] = []
     coops: list[dict] = []
@@ -181,6 +182,9 @@ def read_log(path: str | Path) -> ReplayLog:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise ReplayError(f"{path}: header lacks {', '.join(missing)}")
+    missing = [key for key in _END_KEYS if end is not None and key not in end]
+    if missing:
+        raise ReplayError(f"{path}: end record lacks {', '.join(missing)}")
     turns: list[TurnRecord] = []
     for line_no, record in turn_lines:
         try:
@@ -254,11 +258,10 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
     if log.end is not None:
         while world.status is None and not world.live_agents():
             step_turn(world, {})
-        end_hash = log.end.get("world_hash", "")
-        if world.world_hash() != end_hash:
+        if world.world_hash() != log.end["world_hash"]:
             return VerifyResult(False, None, "final world hash mismatch")
         reason = world.status.value if world.status else "running"
-        if reason != log.end.get("reason"):
+        if reason != log.end["reason"]:
             return VerifyResult(False, None, "end reason mismatch")
     return VerifyResult(True)
 

@@ -6,16 +6,26 @@ resolve the turn and check termination. The primary slot is the first
 agent or the first team of agents (team 0); every other agent binds to
 the reference backend. Turn records stream to the replay log as they
 happen.
+
+Every prompt of a turn is rendered from the same world before any agent
+is asked, so one turn's decisions do not depend on each other. When an
+episode has a remote backend, a turn's decisions run concurrently on a
+thread pool that lives for the episode, at most ``MAX_DECIDE_WORKERS``
+at a time; local backends answer in microseconds and are asked one
+after another. Either way the replies are parsed, routed, resolved and
+logged in ``live_agents()`` order, so the log does not depend on which
+reply came back first.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agents import AgentError, AgentSpec, ChatExchange, make_backend
+from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_backend
 from .coop import route_coop
 from .engine import base_objective, step_turn
 from .metrics import (
@@ -32,6 +42,8 @@ from .stages import StageOverrides, load_stage
 from .types import Pos, TurnRecord, WorldState
 
 log = logging.getLogger(__name__)
+
+MAX_DECIDE_WORKERS = 8
 
 
 @dataclass
@@ -99,21 +111,37 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
 
     all_records: list[TurnRecord] = []
     last_record: dict[int, TurnRecord] = {}
+    pool = None
+    if any(isinstance(b, RemotePolicy) for b in backends.values()):
+        pool = ThreadPoolExecutor(
+            max_workers=min(MAX_DECIDE_WORKERS, len(backends)),
+            thread_name_prefix="bab-decide",
+        )
+    decide_all = pool.map if pool is not None else map
+
+    def decide(agent_id: int, prompt: str) -> ChatExchange:
+        return _safe_decide(backends[agent_id], prompt, world, agent_id)
+
     try:
         while world.status is None:
-            actions = {}
-            meta = {}
-            for agent in world.live_agents():
-                prompt = render_observation(
+            agent_ids = [agent.id for agent in world.live_agents()]
+            prompts = [
+                render_observation(
                     world,
-                    agent.id,
+                    agent_id,
                     locale=config.locale,
-                    last_record=last_record.get(agent.id),
+                    last_record=last_record.get(agent_id),
                     coop_enabled=config.coop_enabled,
                 )
-                exchange = _safe_decide(backends[agent.id], prompt, world, agent.id)
-                actions[agent.id] = parse_response(config.stage_id, exchange.response)
-                meta[agent.id] = (prompt, exchange)
+                for agent_id in agent_ids
+            ]
+            actions = {}
+            meta = {}
+            for agent_id, prompt, exchange in zip(
+                agent_ids, prompts, decide_all(decide, agent_ids, prompts)
+            ):
+                actions[agent_id] = parse_response(config.stage_id, exchange.response)
+                meta[agent_id] = (prompt, exchange)
 
             coop_events = route_coop(world, actions, config.coop_enabled)
             records = step_turn(world, actions)
@@ -148,6 +176,8 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
         if writer is not None:
             writer.write_end(world, summary)
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if writer is not None:
             writer.close()
     return EpisodeResult(summary=summary, log_path=log_path, world=world,

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+import requests
 
+from bab import agents
 from bab.agents import (
     AgentError,
     AgentSpec,
@@ -175,19 +178,22 @@ def test_canned_replays_lines_then_errors(tmp_path):
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script: list = []  # (status, body) pairs consumed in order
+    # (status, body) or (status, body, extra headers), consumed in order
+    script: list = []
     requests_seen: list = []
 
     def do_POST(self):  # noqa: N802 - http.server API
         length = int(self.headers["Content-Length"])
         _StubHandler.requests_seen.append(json.loads(self.rfile.read(length)))
-        status, body = (
+        status, body, *extra = (
             _StubHandler.script.pop(0) if _StubHandler.script else (200, "{}")
         )
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
@@ -198,12 +204,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval, so that shutdown does not wait half a second
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     _StubHandler.script = []
     _StubHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def good_body(text: str) -> str:
@@ -268,6 +276,133 @@ def test_remote_decide_does_not_mutate_world(stub_server):
     before = w.world_hash()
     policy.decide(render_observation(w, 1), w, 1)
     assert w.world_hash() == before
+
+
+class FakeClock:
+    """Stands in for ``time`` in ``bab.agents``: sleeps are recorded and
+    advance the clock; each HTTP attempt takes ``post_s`` seconds, or
+    times out when its timeout is shorter."""
+
+    def __init__(self, policy: RemotePolicy, post_s: float = 0.0) -> None:
+        self.now = 1000.0
+        self.sleeps: list[float] = []
+        self.attempts: list[tuple[float, float]] = []  # (start, HTTP timeout)
+        post = policy.session.post
+
+        def timed_post(*args, **kwargs):
+            timeout = kwargs["timeout"]
+            self.attempts.append((self.now, timeout))
+            if post_s > timeout:
+                self.now += timeout
+                raise requests.exceptions.ReadTimeout("read timed out")
+            self.now += post_s
+            return post(*args, **kwargs)
+
+        policy.session.post = timed_post
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+def clocked_policy(monkeypatch, stub_url, post_s=0.0, **spec_kw):
+    spec = AgentSpec(backend="remote", model="m", base_url=stub_url, **spec_kw)
+    policy = RemotePolicy(spec, backoff_base=0.5)
+    clock = FakeClock(policy, post_s)
+    monkeypatch.setattr(agents, "time", clock)
+    return policy, clock
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_remote_honours_retry_after_seconds(stub_server, monkeypatch, status):
+    _StubHandler.script = [
+        (status, "busy", {"Retry-After": "7"}),
+        (200, good_body("#Operation: #Shoot#")),
+    ]
+    policy, clock = clocked_policy(monkeypatch, stub_server, timeout=60.0)
+    exchange = policy.decide("prompt", load_stage(1, 0), 1)
+    assert exchange.response == "#Operation: #Shoot#"
+    assert exchange.attempt_count == 2
+    assert clock.sleeps == [7.0]
+    # the second attempt gets the time left
+    assert clock.attempts == [(1000.0, 60.0), (1007.0, 53.0)]
+
+
+@pytest.mark.parametrize("status, retry_after", [
+    (500, "7"),  # only 429 and 503 carry a Retry-After worth honouring
+    (429, "Wed, 21 Oct 2026 07:28:00 GMT"),  # a date is not seconds
+    (503, "-3"),
+])
+def test_remote_ignores_other_retry_after(stub_server, monkeypatch, status, retry_after):
+    _StubHandler.script = [
+        (status, "busy", {"Retry-After": retry_after}),
+        (200, good_body("ok")),
+    ]
+    policy, clock = clocked_policy(monkeypatch, stub_server)
+    assert policy.decide("prompt", load_stage(1, 0), 1).response == "ok"
+    assert len(clock.sleeps) == 1 and 0.0 <= clock.sleeps[0] <= 0.5
+
+
+def test_remote_backoff_has_full_jitter_in_bounds(stub_server, monkeypatch):
+    w = load_stage(1, 0)
+    policy, clock = clocked_policy(monkeypatch, stub_server, retries=3)
+    random.seed(0)
+    global_state = random.getstate()
+    for _ in range(20):
+        _StubHandler.script = [(500, "bad")] * 4
+        with pytest.raises(AgentError, match="after 4 attempts"):
+            policy.decide("prompt", w, 1)
+    assert random.getstate() == global_state  # a private generator drew them
+    assert len(clock.sleeps) == 60
+    caps = [0.5, 1.0, 2.0] * 20
+    assert all(0.0 <= s <= cap for s, cap in zip(clock.sleeps, caps))
+    assert len(set(clock.sleeps)) == 60  # drawn, not the fixed exponential steps
+    assert sum(s / cap for s, cap in zip(clock.sleeps, caps)) / 60 < 0.8
+
+
+def test_remote_deadline_covers_attempts_and_sleeps(stub_server, monkeypatch):
+    _StubHandler.script = [(500, "bad")] * 20
+    policy, clock = clocked_policy(monkeypatch, stub_server, post_s=2.0,
+                                   timeout=7.0, retries=19)
+    with pytest.raises(AgentError, match="7 s deadline"):
+        policy.decide("prompt", load_stage(1, 0), 1)
+    assert clock.now <= 1007.0
+    assert 2 <= len(clock.attempts) <= 4
+    # each attempt's HTTP timeout is the time left before the deadline
+    for start, timeout in clock.attempts:
+        assert timeout == pytest.approx(1007.0 - start)
+
+
+def test_remote_attempt_times_out_at_the_deadline(stub_server, monkeypatch):
+    policy, clock = clocked_policy(monkeypatch, stub_server, post_s=100.0,
+                                   timeout=5.0, retries=3)
+    with pytest.raises(AgentError, match="5 s deadline: read timed out"):
+        policy.decide("prompt", load_stage(1, 0), 1)
+    assert clock.attempts == [(1000.0, 5.0)]
+    assert clock.now == 1005.0 and clock.sleeps == []
+
+
+def test_remote_retry_after_past_the_deadline_fails_at_once(stub_server, monkeypatch):
+    _StubHandler.script = [(429, "slow down", {"Retry-After": "120"})]
+    policy, clock = clocked_policy(monkeypatch, stub_server, timeout=30.0)
+    with pytest.raises(AgentError, match="30 s deadline: HTTP 429"):
+        policy.decide("prompt", load_stage(1, 0), 1)
+    assert clock.sleeps == []
+    assert len(_StubHandler.requests_seen) == 1
+
+
+def test_remote_deadline_failure_is_a_format_invalid_turn(stub_server, monkeypatch):
+    from bab.runner import _safe_decide
+
+    _StubHandler.script = [(503, "down", {"Retry-After": "120"})]
+    policy, _ = clocked_policy(monkeypatch, stub_server, timeout=30.0)
+    w = load_stage(1, 0)
+    exchange = _safe_decide(policy, "prompt", w, 1)
+    assert "deadline" in exchange.error
+    assert not parse_response(1, exchange.response).format_ok
 
 
 # ----------------------------------------------------------------------

@@ -168,3 +168,23 @@ def test_header_missing_keys_fails_verify_and_is_skipped_by_report(tmp_path, cap
     captured = capsys.readouterr()
     assert f"skipping {bad.name}" in captured.err
     assert "F Dis" in captured.out
+
+
+def test_bare_end_record_fails_verify_and_is_skipped_by_report(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--seed", "0", "--runs", "1",
+                   "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
+    good = next(out_dir.glob("*.jsonl"))
+    lines = good.read_text(encoding="utf-8").splitlines()
+    bad = out_dir / "bare_end.jsonl"
+    bad.write_text("\n".join(lines[:-1] + ['{"kind":"end"}']) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    assert run_cli("verify", str(bad)) == EXIT_VERIFY_FAIL
+    assert capsys.readouterr().out.startswith("FAIL:")
+
+    assert run_cli("report", str(out_dir)) == EXIT_OK
+    captured = capsys.readouterr()
+    assert f"skipping {bad.name}" in captured.err
+    assert "F Dis" in captured.out
+    assert len((out_dir / "episodes.csv").read_text().splitlines()) == 2  # the good log

@@ -568,6 +568,11 @@ def test_turn_cap_reached():
 
 
 def overlapping_pairs(world):
+    """Every overlapping pair of solids that involves a tank or a base.
+
+    Wall cells are distinct points of one 8-px lattice, so two of them
+    never overlap and wall-wall pairs are not compared.
+    """
     solids = [
         ("tank", t.id, t.pos.x, t.pos.y, 32)
         for t in world.tanks.values()
@@ -578,11 +583,12 @@ def overlapping_pairs(world):
         for b in world.bases.values()
         if b.blocking
     ]
+    movers = len(solids)
     solids += [
         ("wall", (cx, cy), cx * 8, cy * 8, 8) for cx, cy in world.walls.cells
     ]
     bad = []
-    for i in range(len(solids)):
+    for i in range(movers):
         for j in range(i + 1, len(solids)):
             _, _, ax, ay, asz = solids[i]
             _, _, bx, by, bsz = solids[j]

@@ -244,6 +244,22 @@ def test_header_missing_a_key_is_a_replay_error(episode_log, key):
         metrics_from_log(episode_log)
 
 
+@pytest.mark.parametrize("key", ["reason", "turns", "world_hash"])
+def test_end_record_missing_a_key_is_a_replay_error(episode_log, key):
+    lines = episode_log.read_text(encoding="utf-8").splitlines()
+    end = json.loads(lines[-1])
+    assert end["kind"] == "end"
+    del end[key]
+    lines[-1] = json.dumps(end, sort_keys=True, separators=(",", ":"))
+    episode_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ReplayError, match=f"end record lacks {key}"):
+        read_log(episode_log)
+    with pytest.raises(ReplayError):
+        replay_verify(episode_log)
+    with pytest.raises(ReplayError):
+        metrics_from_log(episode_log)
+
+
 def test_bare_header_is_a_replay_error(tmp_path):
     path = tmp_path / "bare.jsonl"
     path.write_text('{"kind":"header","seed":0}\n', encoding="utf-8")

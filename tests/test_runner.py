@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from bab.agents import AgentSpec
+from bab import runner as runner_mod
+from bab.agents import AgentError, AgentSpec, RemotePolicy
+from bab.parsing import NO_COOP, Action, format_reply
 from bab.runner import RunConfig, run_benchmark, run_episode
 from bab.stages import StageOverrides, load_stage
 from bab.types import StageLoadError
@@ -96,3 +103,159 @@ def test_run_episode_counts_remote_failures_as_invalid_turns(tmp_path):
     assert result.summary.f_acc == 0.0
     assert result.world.turn == 5
     assert all(r.error for r in result.records)
+
+
+# ----------------------------------------------------------------------
+# concurrent decisions against a threaded chat stub
+# ----------------------------------------------------------------------
+
+
+class _ChatStub(ThreadingHTTPServer):
+    """Replies from a hash of the user message, after a random delay, so
+    that a turn's replies come back out of order."""
+
+    daemon_threads = True
+
+    def __init__(self, stage_id: int) -> None:
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.stage_id = stage_id
+        self.lock = threading.Lock()
+        self.delays = random.Random()
+        self.in_flight = 0
+        self.peak = 0
+        self.served = 0
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    server: _ChatStub
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        stub = self.server
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        user = next(m["content"] for m in request["messages"] if m["role"] == "user")
+        h = int.from_bytes(hashlib.sha256(user.encode("utf-8")).digest()[:8], "big")
+        text = format_reply(stub.stage_id, list(Action)[h % len(Action)], 0, NO_COOP)
+        with stub.lock:
+            stub.in_flight += 1
+            stub.peak = max(stub.peak, stub.in_flight)
+            stub.served += 1
+            delay = stub.delays.uniform(0.001, 0.015)
+        time.sleep(delay)
+        with stub.lock:
+            stub.in_flight -= 1
+        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def chat_stub():
+    server = _ChatStub(stage_id=7)
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+
+
+def remote_config(stub, turns=6):
+    spec = AgentSpec(backend="remote", model="stub",
+                     base_url=f"http://127.0.0.1:{stub.server_port}", timeout=30.0)
+    return RunConfig(stage_id=7, seeds=[3], primary=spec, reference=spec,
+                     overrides=StageOverrides(turns=turns))
+
+
+def turn_lines(path):
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if json.loads(line)["kind"] == "turn"]
+
+
+def decide_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("bab-decide")]
+
+
+def test_remote_decisions_overlap_within_the_pool_bound(chat_stub, tmp_path):
+    result = run_episode(remote_config(chat_stub), 3, tmp_path / "a.jsonl")
+    agents = len(load_stage(7, 3).live_agents())
+    assert 2 <= chat_stub.peak <= min(runner_mod.MAX_DECIDE_WORKERS, agents)
+    assert chat_stub.served == len(result.records)
+    assert all(r.error is None and r.format_ok for r in result.records)
+    assert decide_threads() == []
+
+
+def test_concurrent_logs_are_identical_but_for_latency(chat_stub, tmp_path):
+    def log_without_latency(name):
+        path = tmp_path / name
+        run_episode(remote_config(chat_stub), 3, path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in lines:
+            record.pop("latency_ms", None)
+        return lines
+
+    assert log_without_latency("a.jsonl") == log_without_latency("b.jsonl")
+
+
+def test_concurrent_turn_records_follow_live_agent_order(chat_stub, tmp_path):
+    path = tmp_path / "a.jsonl"
+    run_episode(remote_config(chat_stub), 3, path)
+    by_turn = {}
+    for record in turn_lines(path):
+        by_turn.setdefault(record["turn"], []).append(record["agent"])
+    opening = [a.id for a in load_stage(7, 3).live_agents()]
+    assert by_turn[0] == opening
+    for agents in by_turn.values():
+        # live_agents() is ordered by id, and agents only ever drop out
+        assert agents == [a for a in opening if a in agents]
+
+
+def _one_agent_raises(monkeypatch, failing_agent, exc):
+    """Bind ``failing_agent`` to a remote backend whose decide raises ``exc``."""
+
+    class Failing(RemotePolicy):
+        def decide(self, prompt, world, agent_id):
+            raise exc
+
+    make_backend = runner_mod.make_backend
+
+    def bind(spec, stage_id, agent_id, coop_enabled=True):
+        if agent_id == failing_agent:
+            return Failing(spec)
+        return make_backend(spec, stage_id, agent_id, coop_enabled)
+
+    monkeypatch.setattr(runner_mod, "make_backend", bind)
+
+
+def test_agent_error_in_a_worker_is_that_agents_invalid_turn(chat_stub, tmp_path,
+                                                             monkeypatch):
+    _one_agent_raises(monkeypatch, 2, AgentError("simulated outage"))
+    result = run_episode(remote_config(chat_stub), 3, tmp_path / "a.jsonl")
+    failed = [r for r in result.records if r.agent == 2]
+    others = [r for r in result.records if r.agent != 2]
+    assert failed and all(r.error == "simulated outage" and not r.format_ok
+                          for r in failed)
+    assert others and all(r.error is None and r.format_ok for r in others)
+    assert result.world.turn == 6
+    assert decide_threads() == []
+
+
+def test_other_worker_exception_fails_the_episode(chat_stub, tmp_path, monkeypatch):
+    _one_agent_raises(monkeypatch, 4, RuntimeError("backend bug"))
+    out = run_benchmark([remote_config(chat_stub)], tmp_path / "suite")
+    assert "stage7 seed3: backend bug" in (out / "failures.txt").read_text()
+    assert not (out / "episodes.csv").exists()
+    assert decide_threads() == []
+
+
+def test_local_backends_open_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("local backends must not open a thread pool")
+
+    monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", no_pool)
+    result = run_episode(config(stage_id=7, overrides=StageOverrides(turns=3)), 0)
+    assert result.world.turn == 3
