@@ -252,7 +252,7 @@ class RemotePolicy:
         self.spec = spec
         self.backoff_base = backoff_base
         self.session = session or requests.Session()
-        self.jitter = random.Random()
+        self._jitter = random.Random()
 
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
         user, system = split_prompt(prompt)
@@ -303,7 +303,7 @@ class RemotePolicy:
                         f"remote call failed after {attempts} attempts: {last_error}"
                     ) from None
                 if retry_after is None:
-                    retry_after = self.jitter.uniform(
+                    retry_after = self._jitter.uniform(
                         0.0, self.backoff_base * 2 ** (attempt - 1))
                 if retry_after >= deadline - time.monotonic():
                     break

@@ -171,11 +171,6 @@ def remote_config(stub, turns=6):
                      overrides=StageOverrides(turns=turns))
 
 
-def turn_lines(path):
-    return [json.loads(line) for line in path.read_text().splitlines()
-            if json.loads(line)["kind"] == "turn"]
-
-
 def decide_threads():
     return [t for t in threading.enumerate() if t.name.startswith("bab-decide")]
 
@@ -205,8 +200,9 @@ def test_concurrent_turn_records_follow_live_agent_order(chat_stub, tmp_path):
     path = tmp_path / "a.jsonl"
     run_episode(remote_config(chat_stub), 3, path)
     by_turn = {}
-    for record in turn_lines(path):
-        by_turn.setdefault(record["turn"], []).append(record["agent"])
+    for record in map(json.loads, path.read_text().splitlines()):
+        if record["kind"] == "turn":
+            by_turn.setdefault(record["turn"], []).append(record["agent"])
     opening = [a.id for a in load_stage(7, 3).live_agents()]
     assert by_turn[0] == opening
     for agents in by_turn.values():
