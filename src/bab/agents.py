@@ -4,9 +4,10 @@ Four interchangeable policies sit behind one ``decide`` interface:
 
 - ``remote``: an HTTP chat-completion client (OpenAI-style JSON wire
   format) that retries with full-jitter exponential backoff, honours a
-  ``Retry-After`` in seconds on 429 and 503, and keeps every attempt and
-  every sleep of one decision within one deadline, ``AgentSpec.timeout``
-  seconds after the decision starts;
+  ``Retry-After`` in seconds on 429 and 503, and gives one decision one
+  deadline, ``AgentSpec.timeout`` seconds after it starts, for every
+  attempt and every sleep (see ``RemotePolicy`` for how closely a slow
+  server is held to it);
 - ``random``: a seeded uniform draw over the five actions, always
   emitting the stage's exact output format;
 - ``greedy``: a deterministic navigator that closes the larger axis gap
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import requests
+import urllib3
 
 from .engine import base_objective, probe_ahead
 from .parsing import NO_COOP, Action, format_reply
@@ -241,10 +243,21 @@ class RemotePolicy:
 
     A failed attempt is retried after a full-jitter backoff, a uniform
     draw from ``[0, backoff_base * 2**(attempt - 1)]`` seconds, or after
-    the server's ``Retry-After`` seconds on a 429 or 503. One decision
-    may take at most ``spec.timeout`` seconds: each attempt's HTTP
-    timeout is the time still left, and when no time is left for a sleep
-    or an attempt the decision fails with ``AgentError``.
+    the server's ``Retry-After`` seconds on a 429 or 503.
+
+    A decision has a deadline ``spec.timeout`` seconds after it starts;
+    when no time is left for a sleep or an attempt, or a reply is not
+    complete by then, the decision fails with ``AgentError``. Each
+    attempt's HTTP timeout is the time left when it starts, and requests
+    applies it to the connect and to each socket read, not to their sum.
+    The body is read one socket read at a time and given up at the first
+    read that ends past the deadline, so a decision ends at most one
+    socket wait (itself at most ``spec.timeout``) after its deadline,
+    however slowly the body's data trickles in. The status line, the
+    headers and a chunked body's size lines are read by requests and
+    ``http.client``, where each read gets the full HTTP timeout: a
+    server that trickles those is cut off only when one read waits that
+    long.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5,
@@ -265,7 +278,8 @@ class RemotePolicy:
             "temperature": self.spec.temperature,
             "max_tokens": self.spec.max_tokens,
         }
-        headers = {}
+        # the body is read raw, so ask for it undecoded
+        headers = {"Accept-Encoding": "identity"}
         api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
@@ -281,13 +295,15 @@ class RemotePolicy:
                 break
             retry_after = None
             try:
-                resp = self.session.post(url, json=payload, headers=headers, timeout=left)
-                if resp.status_code >= 500 or resp.status_code == 429:
-                    if resp.status_code in (429, 503):
-                        retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-                    raise _Transient(f"HTTP {resp.status_code}")
-                resp.raise_for_status()
-                text = resp.json()["choices"][0]["message"]["content"]
+                with self.session.post(url, json=payload, headers=headers,
+                                       timeout=left, stream=True) as resp:
+                    if resp.status_code >= 500 or resp.status_code == 429:
+                        if resp.status_code in (429, 503):
+                            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
+                        raise _Transient(f"HTTP {resp.status_code}")
+                    resp.raise_for_status()
+                    body = _read_body(resp, deadline)
+                text = json.loads(body)["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise _Transient("missing assistant text")
                 return ChatExchange(
@@ -295,8 +311,8 @@ class RemotePolicy:
                     latency_ms=(time.monotonic() - start) * 1000.0,
                     attempt_count=attempt,
                 )
-            except (_Transient, requests.RequestException, ValueError, KeyError,
-                    IndexError, TypeError) as exc:
+            except (_Transient, requests.RequestException, urllib3.exceptions.HTTPError,
+                    ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = str(exc) or type(exc).__name__
                 if attempt == attempts:
                     raise AgentError(
@@ -311,6 +327,25 @@ class RemotePolicy:
         raise AgentError(
             f"remote call ran out of its {self.spec.timeout:g} s deadline: {last_error}"
         )
+
+
+_READ_SIZE = 65536
+
+
+def _read_body(resp: requests.Response, deadline: float) -> bytes:
+    """A streamed response's body, given up once a read ends past the deadline.
+
+    ``read1`` makes at most one socket read for the body's data, so the
+    deadline is checked however small the pieces the body comes in.
+    """
+    chunks = []
+    while True:
+        chunk = resp.raw.read1(_READ_SIZE)
+        if time.monotonic() > deadline:
+            raise _Transient("reply not complete by the deadline")
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)
 
 
 def _retry_after_s(value: str | None) -> float | None:

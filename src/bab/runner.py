@@ -11,10 +11,15 @@ Every prompt of a turn is rendered from the same world before any agent
 is asked, so one turn's decisions do not depend on each other. When an
 episode has a remote backend, a turn's decisions run concurrently on a
 thread pool that lives for the episode, at most ``MAX_DECIDE_WORKERS``
-at a time; local backends answer in microseconds and are asked one
-after another. Either way the replies are parsed, routed, resolved and
-logged in ``live_agents()`` order, so the log does not depend on which
-reply came back first.
+at a time. Local backends are asked one after another: they answer in
+microseconds, and handing each of their decisions to the pool cost
+about a third of the local workloads' decisions per second. Either way
+the replies are parsed, routed, resolved and logged in ``live_agents()``
+order, so the log does not depend on which reply came back first. An
+episode that aborts while decisions are in flight (a backend raised
+something other than ``AgentError``, or the run was interrupted) first
+waits for them; a remote decision ends within about its deadline (see
+``agents.RemotePolicy``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ import json
 import math
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 import requests
@@ -403,6 +404,67 @@ def test_remote_deadline_failure_is_a_format_invalid_turn(stub_server, monkeypat
     exchange = _safe_decide(policy, "prompt", w, 1)
     assert "deadline" in exchange.error
     assert not parse_response(1, exchange.response).format_ok
+
+
+class _TrickleHandler(BaseHTTPRequestHandler):
+    """Sends a whole reply's headers at once, then its body one byte at a
+    time, ``pause`` seconds apart."""
+
+    body = b""
+    pause = 0.0
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(self.body)))
+        self.end_headers()
+        self.wfile.flush()
+        try:
+            for i in range(len(self.body)):
+                time.sleep(self.pause)
+                self.wfile.write(self.body[i:i + 1])
+                self.wfile.flush()
+        except OSError:
+            pass  # the client gave up
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def trickle_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _TrickleHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()
+    server.server_close()
+
+
+def test_remote_gives_up_a_trickled_body_at_the_deadline(trickle_server, monkeypatch):
+    # every byte comes well within a read timeout, so only the deadline
+    # check between reads stops the body's 60 x 50 ms = 3 s
+    monkeypatch.setattr(_TrickleHandler, "body", good_body("x" * 20).encode()[:60])
+    monkeypatch.setattr(_TrickleHandler, "pause", 0.05)
+    spec = AgentSpec(backend="remote", model="m", base_url=trickle_server,
+                     timeout=0.4, retries=0)
+    policy = RemotePolicy(spec)
+    start = time.monotonic()
+    with pytest.raises(AgentError, match="not complete by the deadline"):
+        policy.decide("prompt", load_stage(1, 0), 1)
+    assert time.monotonic() - start < 1.0
+
+
+def test_remote_assembles_a_trickled_body_within_the_deadline(trickle_server,
+                                                               monkeypatch):
+    monkeypatch.setattr(_TrickleHandler, "body", good_body("#Operation: #Shoot#").encode())
+    monkeypatch.setattr(_TrickleHandler, "pause", 0.002)
+    spec = AgentSpec(backend="remote", model="m", base_url=trickle_server,
+                     timeout=10.0, retries=0)
+    exchange = RemotePolicy(spec).decide("prompt", load_stage(1, 0), 1)
+    assert exchange.response == "#Operation: #Shoot#"
 
 
 # ----------------------------------------------------------------------
