@@ -129,7 +129,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for path in logs:
         try:
             episodes.append(metrics_from_log(path, args.macc_denominator))
-        except ReplayError as exc:
+        except (ReplayError, MetricsError) as exc:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
     if not episodes:
         raise ValueError("no complete episodes found")

@@ -141,7 +141,9 @@ def compute_episode(
         recs.sort(key=lambda r: r.turn)
         p_s = recs[0].pos_before
         p_e = recs[-1].pos_after
-        target = targets[agent_id]
+        target = targets.get(agent_id)
+        if target is None:
+            raise MetricsError(f"no distance target for agent {agent_id}")
         f_dis = forward_distance(p_s, p_e, target)
         initial = p_s.l1(target) / MOVE_STEP
         per_agent[agent_id] = AgentMetrics(

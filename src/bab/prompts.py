@@ -7,14 +7,16 @@ feedback). Rendering is a pure function of its inputs: it never mutates
 the world.
 
 ``_PHRASES`` is the one place for locale text outside ``templates/``:
-enum words, the generated lines, feedback sentences and the cooperation
-surfaces, one table per locale, so no function here branches on the
-locale. ``LOCALES`` is its key list.
+enum words, the generated lines and the feedback sentences, one table
+per locale, so no function here branches on the locale. ``LOCALES`` is
+its key list.
 
-With cooperation disabled, every cooperation surface (options block,
-plan line, output-format line, history slot, "you can cooperate"
-sentences) is removed from the template before filling, so ablation runs
-see prompts with no cooperation section at all.
+Cooperation-only text is marked in the templates themselves as
+``[[coop:...]]`` spans (options block, plan line, output-format line,
+history slot, "you can cooperate" sentences). ``load_template`` keeps
+each span's text when cooperation is on and drops the whole span when
+it is off, so ablation runs see prompts with no cooperation section at
+all.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ MAP_WINDOW = 96  # L-inf radius, in px, of the local wall report
 COOP_HISTORY_LIMIT = 5
 
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
+_COOP_RE = re.compile(r"\[\[coop:(.*?)\]\]", re.S)
 
 
 class _OriginText(dict):
@@ -56,7 +59,8 @@ class _OriginText(dict):
 _WALL_TEXT = _OriginText()
 
 # words are keyed by enum value (facing, tank type, disposition, blocker);
-# lines and sentences are str.format patterns
+# lines and sentences are str.format patterns. Cooperation-only template
+# text is not here: it is marked ``[[coop:...]]`` in the templates.
 _PHRASES: dict[str, dict] = {
     "en": {
         "up": "up", "down": "down", "left": "left", "right": "right",
@@ -83,27 +87,6 @@ _PHRASES: dict[str, dict] = {
         "fb_hit_base": "Shot hit base {target}; the base is destroyed.",
         "fb_no_hit": "Shot hit nothing.",
         "fb_noop": "No valid operation was executed.",
-        "coop_sentences": (
-            " To achieve the ultimate goal, you can cooperate with your teammate.",
-            " To achieve the ultimate goal, you can cooperate with an enemy to"
-            " eliminate other enemies.",
-            " To achieve the ultimate goal, you can cooperate with your teammates,"
-            " or temporarily cooperate with an enemy to eliminate other enemies.",
-            " You can also choose cooperation options to decide whether to"
-            " cooperate with teammates.",
-        ),
-        "coop_note": (
-            "- You can only output one control operation and one cooperation"
-            " operation each time.",
-            "- You can only output one control operation each time.",
-        ),
-        "coop_options": "#Cooperation options:",
-        "coop_lines": (
-            "#Cooperation operation:",
-            "- Cooperation plan:",
-            "- Tanks have two types: normal and advanced.",
-        ),
-        "coop_history": "Historical cooperation attack information:",
     },
     "zh": {
         "up": "上", "down": "下", "left": "左", "right": "右",
@@ -128,16 +111,6 @@ _PHRASES: dict[str, dict] = {
         "fb_hit_base": "射击命中基地{target}，基地已被摧毁。",
         "fb_no_hit": "射击未命中任何目标。",
         "fb_noop": "未执行有效操作。",
-        "coop_sentences": (
-            "你可以与你的队友协作完成目标。",
-            "为了完成最终目标，你可以与某个敌人协作消灭其它敌人。",
-            "为了完成最终目标，你可以与你的队友协作，也可以暂时与某个敌人协作消灭其它敌人。",
-            "并可以选择协作选项决定是否与队友协作攻击。",
-        ),
-        "coop_note": ("- 你每次只能输出一个控制操作和一个协作操作。", "- 你每次只能输出一个操作。"),
-        "coop_options": "#协作选项:",
-        "coop_lines": ("#协作操作:", "- 协作计划:", "- 坦克有普通和高级两种类型"),
-        "coop_history": "历史协作攻击信息:",
     },
 }
 LOCALES = tuple(_PHRASES)
@@ -152,43 +125,8 @@ def load_template(stage_id: int, locale: str, coop_enabled: bool = True) -> str:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValueError(f"no template for stage {stage_id}") from None
-    if not coop_enabled:
-        text = _strip_coop(text, locale)
-    return text
-
-
-def _strip_coop(text: str, locale: str) -> str:
-    p = _PHRASES[locale]
-    for sentence in p["coop_sentences"]:
-        text = text.replace(sentence, "")
-    text = text.replace(*p["coop_note"])
-
-    lines = text.split("\n")
-    out: list[str] = []
-    skip_bullets = False
-    skip_blank = False
-    for line in lines:
-        stripped = line.split("{{")[0]
-        if skip_bullets:
-            if line.startswith("- #"):
-                continue
-            skip_bullets = False
-            if line == "":
-                continue
-        if skip_blank:
-            skip_blank = False
-            if line == "":
-                continue
-        if stripped.startswith(p["coop_options"]):  # heads a bullet list
-            skip_bullets = True
-            continue
-        if stripped.startswith(p["coop_lines"]):
-            continue
-        if stripped.startswith(p["coop_history"]):
-            skip_blank = True
-            continue
-        out.append(line)
-    return "\n".join(out)
+    # a function replacement, so the kept text is never escape-processed
+    return _COOP_RE.sub(lambda m: m.group(1) if coop_enabled else "", text)
 
 
 def render_observation(

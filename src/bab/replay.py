@@ -24,7 +24,7 @@ from .engine import step_turn
 from .metrics import EpisodeSummary, compute_episode
 from .parsing import parse_response
 from .stages import StageOverrides, load_stage
-from .types import Pos, TurnRecord, WorldState
+from .types import Pos, StageLoadError, TurnRecord, WorldState
 
 LOG_VERSION = 1
 
@@ -47,12 +47,6 @@ class ReplayWriter:
 
     def close(self) -> None:
         self._fh.close()
-
-    def __enter__(self) -> "ReplayWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _write(self, record: dict) -> None:
         self._fh.write(_dump(record) + "\n")
@@ -117,25 +111,24 @@ class ReplayWriter:
     def write_coop(self, event: dict) -> None:
         self._write({"kind": "coop", **event})
 
-    def write_end(
-        self, world: WorldState, summary: EpisodeSummary | None = None
-    ) -> None:
-        record: dict = {
-            "kind": "end",
-            "reason": world.status.value if world.status else "running",
-            "winner_team": world.winner_team,
-            "turns": world.turn,
-            "world_hash": world.world_hash(),
-        }
-        if summary is not None:
-            record["metrics"] = {
-                "f_dis": summary.f_dis,
-                "f_acc": summary.f_acc,
-                "m_acc": summary.m_acc,
-                "score": summary.score,
-                "goal_completion": summary.goal_completion,
+    def write_end(self, world: WorldState, summary: EpisodeSummary) -> None:
+        """The end record of a world that has ended."""
+        self._write(
+            {
+                "kind": "end",
+                "reason": world.status.value,
+                "winner_team": world.winner_team,
+                "turns": world.turn,
+                "world_hash": world.world_hash(),
+                "metrics": {
+                    "f_dis": summary.f_dis,
+                    "f_acc": summary.f_acc,
+                    "m_acc": summary.m_acc,
+                    "score": summary.score,
+                    "goal_completion": summary.goal_completion,
+                },
             }
-        self._write(record)
+        )
 
 
 @dataclass
@@ -222,9 +215,12 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
     if not isinstance(log, ReplayLog):
         log = read_log(log)
     header = log.header
-    overrides = StageOverrides.from_mapping(header.get("overrides", {}))
     stage_id = header["stage_id"]
-    world = load_stage(stage_id, header["seed"], overrides)
+    try:
+        overrides = StageOverrides.from_mapping(header.get("overrides", {}))
+        world = load_stage(stage_id, header["seed"], overrides)
+    except StageLoadError as exc:
+        raise ReplayError(f"header stage does not load: {exc}") from None
     coop_enabled = header.get("coop_enabled", True)
 
     by_turn: dict[int, list[TurnRecord]] = {}

@@ -16,7 +16,7 @@ import random
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, get_args, get_type_hints
 
 import yaml
 
@@ -122,28 +122,41 @@ class StageOverrides:
 
     @classmethod
     def from_mapping(cls, data: dict) -> "StageOverrides":
+        if not isinstance(data, dict):
+            raise StageLoadError(f"stage config must be a key: value mapping, not {data!r}")
         unknown = set(data) - set(OVERRIDE_KEYS)
         if unknown:
             raise StageLoadError(
                 f"unknown stage-config keys: {sorted(unknown)}; "
                 f"allowed: {list(OVERRIDE_KEYS)}"
             )
+        for key, value in data.items():
+            kind = _OVERRIDE_TYPES[key]
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise StageLoadError(
+                    f"stage-config key {key!r} takes {_TYPE_NAMES[kind]}, not {value!r}"
+                )
         return cls(**data)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StageOverrides":
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
-        if data is None:
-            data = {}
-        if not isinstance(data, dict):
-            raise StageLoadError(f"stage config {path} must be a key: value mapping")
-        return cls.from_mapping(data)
+        return cls.from_mapping({} if data is None else data)
 
     def as_dict(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
 OVERRIDE_KEYS = tuple(f.name for f in fields(StageOverrides))
+# the type each override takes, from its "kind | None" field; a float field
+# takes an int too. bool is an int subclass, so from_mapping rejects it apart
+_OVERRIDE_TYPES = {
+    key: (int, float) if kind is float else kind
+    for key, kind in (
+        (key, get_args(hint)[0]) for key, hint in get_type_hints(StageOverrides).items()
+    )
+}
+_TYPE_NAMES = {int: "an integer", (int, float): "a number", str: "a string"}
 
 
 def derive_seed(seed: int, tag: str) -> int:

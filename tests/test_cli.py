@@ -108,6 +108,32 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run_cli("report", str(tmp_path / "empty-missing")) == EXIT_CONFIG
 
 
+def test_override_of_wrong_type_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "stage.yaml"
+    cfg.write_text("turns: ten\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "2", "--runs", "1", "--primary-model", "random",
+                   "--stage-config", str(cfg), "--out", str(out_dir)) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not list(out_dir.glob("*.jsonl"))  # no episode ran
+
+
+def test_header_override_of_wrong_type_fails_verify(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--runs", "1", "--primary-model", "random",
+                   "--out", str(out_dir)) == EXIT_OK
+    log = next(out_dir.glob("*.jsonl"))
+    lines = log.read_text(encoding="utf-8").splitlines()
+    for overrides in ({"turns": "ten"}, None):
+        header = json.loads(lines[0])
+        header["overrides"] = overrides
+        log.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+
+        assert run_cli("verify", str(log)) == EXIT_VERIFY_FAIL, overrides
+        assert capsys.readouterr().out.startswith("FAIL:")
+
+
 def test_zh_locale_run(tmp_path):
     out_dir = tmp_path / "out"
     code = run_cli("run", "--stage", "1", "--seed", "0", "--runs", "1",
@@ -132,7 +158,7 @@ def test_turn_line_missing_agent_fails_verify_and_is_skipped_by_report(tmp_path,
     out_dir = tmp_path / "out"
     assert run_cli("run", "--stage", "1", "--seed", "0", "--runs", "2",
                    "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
-    bad, good = sorted(out_dir.glob("*.jsonl"))
+    bad = min(out_dir.glob("*.jsonl"))  # seed 0; seed 1 stays good
     lines = bad.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])
     del record["agent"]
@@ -168,6 +194,28 @@ def test_header_missing_keys_fails_verify_and_is_skipped_by_report(tmp_path, cap
     captured = capsys.readouterr()
     assert f"skipping {bad.name}" in captured.err
     assert "F Dis" in captured.out
+
+
+def test_header_unusable_by_metrics_is_skipped_by_report(tmp_path, capsys):
+    """A header that verifies but names no target for an agent, or no
+    primary agent that played, costs that log alone in a report."""
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--seed", "0", "--runs", "2",
+                   "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
+    bad = min(out_dir.glob("*.jsonl"))  # seed 0; seed 1 stays good
+    lines = bad.read_text(encoding="utf-8").splitlines()
+    for key, value in (("targets", {}), ("primary_ids", [99])):
+        header = json.loads(lines[0])
+        header[key] = value
+        bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+
+        assert run_cli("report", str(out_dir)) == EXIT_OK, key
+        captured = capsys.readouterr()
+        assert f"skipping {bad.name}" in captured.err
+        rows = (out_dir / "episodes.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 2  # the header row and the good log
+        assert rows[1].startswith("1,random,1,")
 
 
 def test_bare_end_record_fails_verify_and_is_skipped_by_report(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 
@@ -529,6 +530,47 @@ def test_route_disabled_discards_everything():
 # ----------------------------------------------------------------------
 # ablation: no cooperation surface at all
 # ----------------------------------------------------------------------
+
+
+# (stage, locale, coop_enabled) -> sha256 of load_template's text, so an
+# edit to a template or to its [[coop:...]] spans shows in both variants
+TEMPLATE_PINS = {
+    (1, "en", True): "cae066e7f2b0510f3f24062207b1ae287ef157e290014b0df028c9723b7a4a45",
+    (1, "en", False): "cae066e7f2b0510f3f24062207b1ae287ef157e290014b0df028c9723b7a4a45",
+    (1, "zh", True): "8ea3a4045a3b5c05dd631999db4c0aa255da03bc62347b536cb1abfc1d5cdeaf",
+    (1, "zh", False): "8ea3a4045a3b5c05dd631999db4c0aa255da03bc62347b536cb1abfc1d5cdeaf",
+    (2, "en", True): "bb6d934a14f1da7ad0f6c3193d47b032bc699ffb5a93b847a1867dff7e3447e5",
+    (2, "en", False): "bb6d934a14f1da7ad0f6c3193d47b032bc699ffb5a93b847a1867dff7e3447e5",
+    (2, "zh", True): "216eae134824936475ab95c4aec6c9a4fa6a4b120b54dbbbf3069424a755c535",
+    (2, "zh", False): "216eae134824936475ab95c4aec6c9a4fa6a4b120b54dbbbf3069424a755c535",
+    (3, "en", True): "4aab4e1a64f7a176fd558cf226a4313765c4bccdcc02aabeda4f237fff94b54e",
+    (3, "en", False): "e1be3bcda6eb96605f74afd1dc430766b3901c6b3da36ee045031215066be7da",
+    (3, "zh", True): "f875fe2a6796d9abf736910d8de93655633fc4d883b78f13f764b30d8b5260c6",
+    (3, "zh", False): "ae81f9b453fc2506ecf8ba210a0e8b0e1370fbb39aeec20576ffbe51e3aa43c3",
+    (4, "en", True): "9d1e34e34d07e08a442feda64a244312182d946c8e947dba76c7dd33a857184f",
+    (4, "en", False): "9d1e34e34d07e08a442feda64a244312182d946c8e947dba76c7dd33a857184f",
+    (4, "zh", True): "2ee86011868cbcb5061e533f44ebc2a2ef0aa6e29958f47f404bb854d3856efc",
+    (4, "zh", False): "2ee86011868cbcb5061e533f44ebc2a2ef0aa6e29958f47f404bb854d3856efc",
+    (5, "en", True): "4aab4e1a64f7a176fd558cf226a4313765c4bccdcc02aabeda4f237fff94b54e",
+    (5, "en", False): "e1be3bcda6eb96605f74afd1dc430766b3901c6b3da36ee045031215066be7da",
+    (5, "zh", True): "f875fe2a6796d9abf736910d8de93655633fc4d883b78f13f764b30d8b5260c6",
+    (5, "zh", False): "ae81f9b453fc2506ecf8ba210a0e8b0e1370fbb39aeec20576ffbe51e3aa43c3",
+    (6, "en", True): "2dca6f3dc047961ff6c1fe22abd04eaf5fd3ffc5ff46c9c869b249f75396be57",
+    (6, "en", False): "bbf90c3713595bf7c784f04423aa621e31d0a1a2210497ab0954b1c0cf7ef9f6",
+    (6, "zh", True): "7a0a293e738d445f3fa55fed3df2204f57ff73279230207fbc9466c7ca9eb600",
+    (6, "zh", False): "ca53542063ed0d55e9b9106e97e4980fb29ab481f540a1ed020423c12c76e52b",
+    (7, "en", True): "b3742d64b921193d25dfa2531a3042ff384e23400f4c05e2f0b9d0594bd4e808",
+    (7, "en", False): "67c164107f15418258c040e1052347d699709a1f734ceeb52398f0297e6c030c",
+    (7, "zh", True): "e4a10211995d1c3c056d71565512edecb345abef528817311eba39545ceac3cc",
+    (7, "zh", False): "b840a6c1ac6c359bd75b55bf4c0b809ad6b283fad36ba7d48076aa33b4eced6d",
+}
+
+
+@pytest.mark.parametrize("case", sorted(TEMPLATE_PINS), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_template_text_is_pinned(case):
+    text = load_template(*case)
+    assert "[[" not in text and "]]" not in text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == TEMPLATE_PINS[case]
 
 
 @pytest.mark.parametrize("stage_id", [3, 5, 6, 7])

@@ -101,6 +101,11 @@ def test_override_file_roundtrip(tmp_path):
     w = load_stage(4, 2, ov)
     assert len(w.live_agents()) == 4
     assert len(w.walls) == 0
+    path.write_text("", encoding="utf-8")
+    assert StageOverrides.from_file(path) == StageOverrides()
+    path.write_text("- turns\n", encoding="utf-8")
+    with pytest.raises(StageLoadError, match="key: value mapping"):
+        StageOverrides.from_file(path)
 
 
 def test_override_validation_errors():
@@ -123,6 +128,13 @@ def test_override_validation_errors():
         resolve_config(1, StageOverrides(agents=2, teams=2))
     with pytest.raises(StageLoadError, match="two bases"):
         resolve_config(3, StageOverrides(bases=1))
+    # each value must have its field's type
+    for bad in ({"turns": "ten"}, {"agents": True}, {"npcs": 2.0}, {"spawn_jitter_cells": "1"},
+                {"wall_density": "0.1"}, {"wall_density": False}, {"goal": 1},
+                {"coop_topology": ["none"]}):
+        with pytest.raises(StageLoadError, match=f"{next(iter(bad))!r} takes"):
+            StageOverrides.from_mapping(bad)
+    assert StageOverrides.from_mapping({"wall_density": 0, "turns": None}).wall_density == 0
 
 
 def test_team_assignment_blocks_first_team_first():
