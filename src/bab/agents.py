@@ -260,11 +260,10 @@ class RemotePolicy:
     long.
     """
 
-    def __init__(self, spec: AgentSpec, backoff_base: float = 0.5,
-                 session: requests.Session | None = None) -> None:
+    def __init__(self, spec: AgentSpec, backoff_base: float = 0.5) -> None:
         self.spec = spec
         self.backoff_base = backoff_base
-        self.session = session or requests.Session()
+        self.session = requests.Session()
         self._jitter = random.Random()
 
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:

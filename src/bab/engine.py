@@ -1,6 +1,9 @@
 """Simulation operations: movement, hitscan shooting, NPC policy, turn
 resolution, and termination.
 
+``play_turn`` is the one turn sequence of live runs and replay: parse
+every reply, route cooperation, then ``step_turn``.
+
 Resolution rules:
 - One action per entity per turn; entities resolve strictly in id order,
   live agents first, then NPC tanks. Each action applies atomically
@@ -43,7 +46,8 @@ from .types import (
     WorldState,
     in_bounds,
 )
-from .parsing import ParsedAction
+from .coop import route_coop
+from .parsing import ParsedAction, parse_response
 
 NPC_ACTIONS = (
     Action.MOVE_UP,
@@ -187,6 +191,15 @@ def npc_policy(world: WorldState, npc_id: int) -> Action:
     if tank.kind is not TankKind.NPC:
         raise EngineError(f"tank {npc_id} is not an NPC")
     return world.rng_npc.choice(NPC_ACTIONS)
+
+
+def play_turn(world: WorldState, replies: dict[int, str],
+              coop_enabled: bool) -> tuple[list[dict], list[TurnRecord]]:
+    """Parse each live agent's reply, route cooperation commands, resolve
+    the turn: (coop events, turn records)."""
+    actions = {a_id: parse_response(world.config.stage_id, raw) for a_id, raw in replies.items()}
+    events = route_coop(world, actions, coop_enabled)
+    return events, step_turn(world, actions)
 
 
 def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnRecord]:

@@ -9,8 +9,9 @@ world hash. A turn line is ``TurnRecord.to_dict()``, read back with
 crash loses at most the turn in flight, and any prefix cut at a line
 boundary is still parseable and verifiable up to its last complete turn.
 
-Replay re-parses each logged reply, exactly as the live run parsed it,
-and compares every field the engine fills.
+Replay feeds each turn's logged replies through ``engine.play_turn``,
+the turn sequence the live run used, and checks every engine-filled turn
+field, every coop line and, when present, the whole end record.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ import json
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
-from .coop import route_coop
-from .engine import step_turn
-from .metrics import EpisodeSummary, compute_episode
-from .parsing import parse_response
+from .engine import play_turn
+from .metrics import EpisodeSummary, MetricsError, compute_episode
 from .stages import StageOverrides, load_stage
 from .types import Pos, StageLoadError, TurnRecord, WorldState
 
@@ -112,23 +111,25 @@ class ReplayWriter:
         self._write({"kind": "coop", **event})
 
     def write_end(self, world: WorldState, summary: EpisodeSummary) -> None:
-        """The end record of a world that has ended."""
-        self._write(
-            {
-                "kind": "end",
-                "reason": world.status.value,
-                "winner_team": world.winner_team,
-                "turns": world.turn,
-                "world_hash": world.world_hash(),
-                "metrics": {
-                    "f_dis": summary.f_dis,
-                    "f_acc": summary.f_acc,
-                    "m_acc": summary.m_acc,
-                    "score": summary.score,
-                    "goal_completion": summary.goal_completion,
-                },
-            }
-        )
+        self._write(end_record(world, summary))
+
+
+def end_record(world: WorldState, summary: EpisodeSummary) -> dict:
+    """The end record of a world that has ended."""
+    return {
+        "kind": "end",
+        "reason": world.status.value,
+        "winner_team": world.winner_team,
+        "turns": world.turn,
+        "world_hash": world.world_hash(),
+        "metrics": {
+            "f_dis": summary.f_dis,
+            "f_acc": summary.f_acc,
+            "m_acc": summary.m_acc,
+            "score": summary.score,
+            "goal_completion": summary.goal_completion,
+        },
+    }
 
 
 @dataclass
@@ -146,8 +147,9 @@ _END_KEYS = ("reason", "turns", "world_hash")
 
 def read_log(path: str | Path) -> ReplayLog:
     """Read a log, decoding each turn line into a ``TurnRecord``; a line
-    that cannot be decoded, a header without one of ``_HEADER_KEYS`` or
-    an end record without one of ``_END_KEYS`` raises ``ReplayError``."""
+    that cannot be decoded, a coop line without an integer ``turn``, a
+    header without one of ``_HEADER_KEYS`` or an end record without one
+    of ``_END_KEYS`` raises ``ReplayError``."""
     header = None
     turn_lines: list[tuple[int, dict]] = []
     coops: list[dict] = []
@@ -165,6 +167,8 @@ def read_log(path: str | Path) -> ReplayLog:
         elif kind == "turn":
             turn_lines.append((i + 1, record))
         elif kind == "coop":
+            if not isinstance(record.get("turn"), int):
+                raise ReplayError(f"{path}: coop record without a turn on line {i + 1}")
             coops.append(record)
         elif kind == "end":
             end = record
@@ -201,64 +205,61 @@ _ENGINE_FIELDS = tuple(f.name for f in fields(TurnRecord) if f.default is MISSIN
 
 
 def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
-    """Re-simulate from the header's seed, re-parsing each logged reply.
+    """Re-simulate from the header's seed, playing each turn's logged
+    replies through ``play_turn`` as the live run did.
 
-    Each turn's actions come from ``parse_response`` on the logged
-    replies, the same call the live run made on the same text. Passes
-    only if every engine-filled turn field (action, target, coop,
-    positions, outcome, score, objective, liveness) matches the log and,
-    when the end record is present, the final canonical world hash
-    matches too. Incomplete trailing turns (crash leftovers) are ignored.
-    Turns after the last agent died write no records, so a finished log
-    is played on without actions until the world ends.
+    Passes only if, turn by turn until the world ends, the records cover
+    the live agents, every engine-filled field (action, target, coop,
+    positions, outcome, score, objective, liveness) and the turn's coop
+    lines match, no record is left over, and the end record, when
+    present, equals the one rebuilt from the replayed world and the
+    log's metrics. Turns after the last agent died have no records and
+    play on with no replies. A log without an end record verifies up to
+    its last complete turn.
     """
     if not isinstance(log, ReplayLog):
         log = read_log(log)
     header = log.header
-    stage_id = header["stage_id"]
     try:
         overrides = StageOverrides.from_mapping(header.get("overrides", {}))
-        world = load_stage(stage_id, header["seed"], overrides)
+        world = load_stage(header["stage_id"], header["seed"], overrides)
     except StageLoadError as exc:
         raise ReplayError(f"header stage does not load: {exc}") from None
-    coop_enabled = header.get("coop_enabled", True)
-
-    by_turn: dict[int, list[TurnRecord]] = {}
+    turns: dict[int, list[TurnRecord]] = {}
     for rec in log.turns:
-        by_turn.setdefault(rec.turn, []).append(rec)
+        turns.setdefault(rec.turn, []).append(rec)
+    coops: dict[int, list[dict]] = {}
+    for line in log.coops:
+        coops.setdefault(line["turn"], []).append(line)
 
-    for turn in sorted(by_turn):
-        logged = {r.agent: r for r in by_turn[turn]}
-        if world.status is not None:
-            return VerifyResult(False, turn, "log continues past episode end")
-        if turn != world.turn:
-            return VerifyResult(False, turn, f"expected turn {world.turn}")
-        live = {a.id for a in world.live_agents()}
-        if set(logged) != live:
-            if log.end is None and turn == max(by_turn):
-                break  # truncated mid-turn; verified up to here
+    while world.status is None:
+        turn = world.turn
+        logged = {r.agent: r for r in turns.pop(turn, [])}
+        if set(logged) != {a.id for a in world.live_agents()}:
+            if log.end is None and not turns and set(coops) <= {turn}:
+                return VerifyResult(True)  # truncated; verified up to here
             return VerifyResult(False, turn, "turn records do not cover live agents")
-        actions = {a_id: parse_response(stage_id, rec.reply) for a_id, rec in logged.items()}
-        route_coop(world, actions, coop_enabled)
-        for rec in step_turn(world, actions):
-            reference = logged[rec.agent]
+        replies = {a_id: rec.reply for a_id, rec in logged.items()}
+        events, records = play_turn(world, replies, header.get("coop_enabled", True))
+        for rec in records:
             for key in _ENGINE_FIELDS:
-                replayed, recorded = getattr(rec, key), getattr(reference, key)
+                replayed, recorded = getattr(rec, key), getattr(logged[rec.agent], key)
                 if replayed != recorded:
-                    return VerifyResult(
-                        False,
-                        turn,
-                        f"agent {rec.agent}: {key} diverged ({replayed!r} != {recorded!r})",
-                    )
+                    detail = f"agent {rec.agent}: {key} diverged ({replayed!r} != {recorded!r})"
+                    return VerifyResult(False, turn, detail)
+        if [{"kind": "coop", **e} for e in events] != coops.pop(turn, []):
+            return VerifyResult(False, turn, "coop lines diverged")
 
+    if turns or coops:
+        return VerifyResult(False, world.turn, "log continues past episode end")
     if log.end is not None:
-        while world.status is None and not world.live_agents():
-            step_turn(world, {})
-        if world.world_hash() != log.end["world_hash"]:
-            return VerifyResult(False, None, "final world hash mismatch")
-        reason = world.status.value if world.status else "running"
-        if reason != log.end["reason"]:
-            return VerifyResult(False, None, "end reason mismatch")
+        try:
+            expected = end_record(world, metrics_from_log(log))
+        except MetricsError as exc:
+            raise ReplayError(f"metrics cannot be computed: {exc}") from None
+        if expected != log.end:
+            keys = sorted(k for k in {**expected, **log.end} if expected.get(k) != log.end.get(k))
+            return VerifyResult(False, None, f"end record diverged: {', '.join(keys)}")
     return VerifyResult(True)
 
 

@@ -1,8 +1,8 @@
 """Episode and suite orchestration.
 
 Each turn: render observations for the live agents, ask every agent's
-backend to decide, parse the replies, route cooperation commands, then
-resolve the turn and check termination. The primary slot is the first
+backend to decide, then hand the replies to ``engine.play_turn``, the
+turn sequence that replay runs too. The primary slot is the first
 agent or the first team of agents (team 0); every other agent binds to
 the reference backend. Turn records stream to the replay log as they
 happen.
@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_backend
-from .coop import route_coop
-from .engine import base_objective, step_turn
+from .engine import base_objective, play_turn
 from .metrics import (
     EpisodeSummary,
     aggregate,
@@ -40,7 +39,6 @@ from .metrics import (
     episodes_csv,
     summary_table,
 )
-from .parsing import parse_response
 from .prompts import render_observation
 from .replay import ReplayWriter
 from .stages import StageOverrides, load_stage
@@ -70,7 +68,6 @@ class RunConfig:
 @dataclass
 class EpisodeResult:
     summary: EpisodeSummary
-    log_path: Path | None
     world: WorldState
     records: list[TurnRecord] = field(default_factory=list)
 
@@ -140,16 +137,9 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
                 )
                 for agent_id in agent_ids
             ]
-            actions = {}
-            meta = {}
-            for agent_id, prompt, exchange in zip(
-                agent_ids, prompts, decide_all(decide, agent_ids, prompts)
-            ):
-                actions[agent_id] = parse_response(config.stage_id, exchange.response)
-                meta[agent_id] = (prompt, exchange)
-
-            coop_events = route_coop(world, actions, config.coop_enabled)
-            records = step_turn(world, actions)
+            meta = dict(zip(agent_ids, zip(prompts, decide_all(decide, agent_ids, prompts))))
+            replies = {agent_id: exchange.response for agent_id, (_, exchange) in meta.items()}
+            coop_events, records = play_turn(world, replies, config.coop_enabled)
 
             if writer is not None:
                 for event in coop_events:
@@ -185,8 +175,7 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
             pool.shutdown(cancel_futures=True)
         if writer is not None:
             writer.close()
-    return EpisodeResult(summary=summary, log_path=log_path, world=world,
-                         records=all_records)
+    return EpisodeResult(summary=summary, world=world, records=all_records)
 
 
 def _safe_decide(backend, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:

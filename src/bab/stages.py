@@ -180,13 +180,21 @@ def resolve_config(stage_id: int, overrides: StageOverrides | None = None) -> St
         n_teams=s["teams"],
         n_bases=s["bases"],
         n_npcs=s["npcs"],
-        goal=Goal(s["goal"]),
-        coop_topology=CoopTopology(s["coop_topology"]),
+        goal=_member(Goal, "goal", s["goal"]),
+        coop_topology=_member(CoopTopology, "coop_topology", s["coop_topology"]),
         spawn_jitter_cells=s["spawn_jitter_cells"],
         wall_density=s["wall_density"],
     )
     _validate_config(cfg)
     return cfg
+
+
+def _member(enum, key: str, value):
+    try:
+        return enum(value)
+    except ValueError:
+        allowed = [m.value for m in enum]
+        raise StageLoadError(f"{key} must be one of {allowed}, not {value!r}") from None
 
 
 def _validate_config(cfg: StageConfig) -> None:
@@ -196,6 +204,8 @@ def _validate_config(cfg: StageConfig) -> None:
         raise StageLoadError("agents and teams must be >= 1")
     if cfg.n_agents < cfg.n_teams:
         raise StageLoadError("need at least one agent per team")
+    if cfg.n_npcs < 0:
+        raise StageLoadError("npcs must be >= 0")
     navigation = STAGE_PROTOCOLS[cfg.stage_id].navigation
     if (cfg.goal is Goal.NAVIGATION) != navigation:
         raise StageLoadError(

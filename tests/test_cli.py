@@ -124,7 +124,8 @@ def test_header_override_of_wrong_type_fails_verify(tmp_path, capsys):
                    "--out", str(out_dir)) == EXIT_OK
     log = next(out_dir.glob("*.jsonl"))
     lines = log.read_text(encoding="utf-8").splitlines()
-    for overrides in ({"turns": "ten"}, None):
+    for overrides in ({"turns": "ten"}, None, {"npcs": -1}, {"coop_topology": "bogus"},
+                      {"goal": "nope"}):
         header = json.loads(lines[0])
         header["overrides"] = overrides
         log.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
@@ -197,8 +198,8 @@ def test_header_missing_keys_fails_verify_and_is_skipped_by_report(tmp_path, cap
 
 
 def test_header_unusable_by_metrics_is_skipped_by_report(tmp_path, capsys):
-    """A header that verifies but names no target for an agent, or no
-    primary agent that played, costs that log alone in a report."""
+    """A header that names no target for an agent, or no primary agent
+    that played, fails verify and costs that log alone in a report."""
     out_dir = tmp_path / "out"
     assert run_cli("run", "--stage", "1", "--seed", "0", "--runs", "2",
                    "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
@@ -210,6 +211,8 @@ def test_header_unusable_by_metrics_is_skipped_by_report(tmp_path, capsys):
         bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")
         capsys.readouterr()
 
+        assert run_cli("verify", str(bad)) == EXIT_VERIFY_FAIL, key
+        assert capsys.readouterr().out.startswith("FAIL:")
         assert run_cli("report", str(out_dir)) == EXIT_OK, key
         captured = capsys.readouterr()
         assert f"skipping {bad.name}" in captured.err

@@ -2,11 +2,14 @@
 
 Every stage in both locales, once with a random primary against greedy
 references and once the other way round, seed 0, plus ablation runs with
-cooperation off (stage 5 in both locales, stage 7 in Chinese). A change
+cooperation off (stage 5 in both locales, stage 7 in Chinese), plus one
+stage-3 log of canned request -> accept -> stop replies, the only pin
+whose log carries coop lines. A change
 anywhere in layout, rendering, parsing, the local policies, turn
 resolution, cooperation routing, metrics or log encoding changes one of
 these digests, so a refactor that keeps them keeps behaviour. Each
-turn line must also re-encode byte-identically through ``TurnRecord``.
+turn line must also re-encode byte-identically through ``TurnRecord``,
+and every pinned log must pass ``replay_verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from pathlib import Path
 import pytest
 
 from bab.agents import AgentSpec
+from bab.replay import read_log, replay_verify
 from bab.runner import RunConfig, run_episode
+from bab.stages import StageOverrides
 from bab.types import TurnRecord
 
 PAIRINGS = {
@@ -123,3 +128,33 @@ def test_whole_log_pins(tmp_path, case):
         record = json.loads(line)
         if record["kind"] == "turn":
             assert dump(TurnRecord.from_dict(record).to_dict()) == line
+    assert replay_verify(path).ok
+
+
+COOP_REPLIES = [
+    "#Attack operation: Target 3: #Shoot#\n"
+    "#Cooperation operation: #Request_coop# 2: push together",
+    "#Attack operation: Target 3: #Move_up#\n#Cooperation operation: #Keep_coop#",
+    "#Attack operation: Target 3: #Shoot#\n#Cooperation operation: #Stop_coop#",
+] + ["#Attack operation: Target 3: #Shoot#\n#Cooperation operation: #No_coop#"] * 40
+
+COOP_LOG_PIN = "e7450cdb6493ef910c1f440978eb382ef96fe186e1a524867a2131f78d62d317"
+
+
+def test_coop_log_pin(tmp_path, monkeypatch):
+    # the header names the transcript by its path, so keep it relative
+    monkeypatch.chdir(tmp_path)
+    Path("replies.jsonl").write_text(
+        "\n".join(json.dumps(r) for r in COOP_REPLIES), encoding="utf-8")
+    config = RunConfig(
+        stage_id=3,
+        seeds=[2],
+        primary=AgentSpec(backend="canned", transcript_path="replies.jsonl"),
+        reference=AgentSpec(backend="random", seed=5),
+        overrides=StageOverrides(turns=12),
+    )
+    path = tmp_path / "coop.jsonl"
+    run_episode(config, 2, path)
+    assert {c["event"] for c in read_log(path).coops} >= {"request", "accept", "stop"}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == COOP_LOG_PIN
+    assert replay_verify(path).ok

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bab.agents import AgentSpec
+from bab.cli import EXIT_VERIFY_FAIL, main
 from bab.replay import (
     ReplayError,
     metrics_from_log,
@@ -157,10 +158,9 @@ def test_overrides_flow_through_header_and_verify(tmp_path):
     assert replay_verify(log).ok
 
 
-def test_coop_stage_log_verifies_with_messages(tmp_path):
-    # canned replies that exercise request -> accept -> stop routing
-    import json as j
-
+def run_coop_episode(tmp_path):
+    """Stage 3 with canned replies that exercise request -> accept -> stop
+    routing: (log path, episode result)."""
     t1 = tmp_path / "a1.jsonl"
     replies1 = [
         "#Attack operation: Target 3: #Shoot#\n"
@@ -168,7 +168,7 @@ def test_coop_stage_log_verifies_with_messages(tmp_path):
         "#Attack operation: Target 3: #Move_up#\n#Cooperation operation: #Keep_coop#",
         "#Attack operation: Target 3: #Shoot#\n#Cooperation operation: #Stop_coop#",
     ] + ["#Attack operation: Target 3: #Shoot#\n#Cooperation operation: #No_coop#"] * 40
-    t1.write_text("\n".join(j.dumps(r) for r in replies1), encoding="utf-8")
+    t1.write_text("\n".join(json.dumps(r) for r in replies1), encoding="utf-8")
 
     # stage 3 binds both agents as primary; each gets its own cursor over
     # the same transcript file
@@ -180,7 +180,11 @@ def test_coop_stage_log_verifies_with_messages(tmp_path):
         overrides=StageOverrides(turns=12),
     )
     path = tmp_path / "coop.jsonl"
-    result = run_episode(cfg, 2, path)
+    return path, run_episode(cfg, 2, path)
+
+
+def test_coop_stage_log_verifies_with_messages(tmp_path):
+    path, result = run_coop_episode(tmp_path)
     log = read_log(path)
     routed = [r for r in log.coops if r["event"] == "request"]
     assert routed, "expected at least one routed request"
@@ -213,7 +217,82 @@ def test_missing_turns_with_live_agents_fail(episode_log):
     log.turns = [r for r in log.turns if r.turn != last]
     result = replay_verify(log)
     assert not result.ok
-    assert "hash" in result.detail
+    assert result.divergence_turn == last
+    assert "do not cover live agents" in result.detail
+
+
+def dump(record: dict) -> str:
+    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def assert_tamper_fails(lines: list[str], tampered: Path, turn: int | None, detail: str,
+                        capsys) -> None:
+    """Write ``lines`` to ``tampered``: replay fails there, and so does ``bab verify``."""
+    tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = replay_verify(tampered)
+    assert not result.ok
+    assert result.divergence_turn == turn
+    assert detail in result.detail
+    capsys.readouterr()
+    assert main(["verify", str(tampered)]) == EXIT_VERIFY_FAIL
+    assert capsys.readouterr().out.startswith("FAIL")
+
+
+def _coop_index(lines: list[str], pick=lambda record: True) -> int:
+    return next(i for i, line in enumerate(lines)
+                if json.loads(line)["kind"] == "coop" and pick(json.loads(line)))
+
+
+@pytest.mark.parametrize("tamper", ["drop-one", "event", "message", "drop-all", "forge"])
+def test_edited_coop_lines_fail_at_that_turn(tmp_path, capsys, tamper):
+    path, _ = run_coop_episode(tmp_path)
+    assert replay_verify(path).ok
+    lines = path.read_text(encoding="utf-8").splitlines()
+    idx = _coop_index(lines, lambda record: tamper != "message" or "message" in record)
+    record = json.loads(lines[idx])
+    turn = record["turn"]
+    if tamper == "drop-one":
+        del lines[idx]
+    elif tamper == "event":
+        record["event"] = "reject" if record["event"] != "reject" else "accept"
+        lines[idx] = dump(record)
+    elif tamper == "message":
+        record["message"] += " now"
+        lines[idx] = dump(record)
+    elif tamper == "drop-all":
+        lines = [line for line in lines if json.loads(line)["kind"] != "coop"]
+    else:
+        # a coop line at a later turn where nothing was routed
+        turn = 6
+        assert not any(json.loads(line).get("turn") == turn for line in lines
+                       if json.loads(line)["kind"] == "coop")
+        first = next(i for i, line in enumerate(lines) if json.loads(line).get("turn") == turn)
+        lines.insert(first, dump({"kind": "coop", "turn": turn, "event": "keep", "from": 1}))
+    assert_tamper_fails(lines, tmp_path / "tampered.jsonl", turn, "coop lines diverged", capsys)
+
+
+def test_record_after_the_end_fails(tmp_path, capsys):
+    path, _ = run_coop_episode(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    end = json.loads(lines[-1])
+    record = json.loads(lines[_coop_index(lines)])
+    lines.insert(-1, dump({**record, "turn": end["turns"]}))
+    assert_tamper_fails(lines, tmp_path / "tampered.jsonl", end["turns"],
+                        "log continues past episode end", capsys)
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("turns", lambda end: end.update(turns=999)),
+    ("winner_team", lambda end: end.update(winner_team=7)),
+    ("metrics", lambda end: end["metrics"].update(score=1234)),
+], ids=["turns", "winner_team", "metrics"])
+def test_edited_end_record_fails_at_footer(episode_log, capsys, key, edit):
+    lines = episode_log.read_text(encoding="utf-8").splitlines()
+    end = json.loads(lines[-1])
+    edit(end)
+    lines[-1] = dump(end)
+    assert_tamper_fails(lines, episode_log.with_name("tampered.jsonl"), None,
+                        f"end record diverged: {key}", capsys)
 
 
 def test_read_log_rejects_garbage(tmp_path):
@@ -226,6 +305,9 @@ def test_read_log_rejects_garbage(tmp_path):
         read_log(path)
     path.write_text('{"kind":"turn","turn":0}\n', encoding="utf-8")
     with pytest.raises(ReplayError, match="missing header"):
+        read_log(path)
+    path.write_text('{"kind":"coop","turn":[0],"event":"keep"}\n', encoding="utf-8")
+    with pytest.raises(ReplayError, match="coop record without a turn on line 1"):
         read_log(path)
 
 

@@ -128,6 +128,13 @@ def test_override_validation_errors():
         resolve_config(1, StageOverrides(agents=2, teams=2))
     with pytest.raises(StageLoadError, match="two bases"):
         resolve_config(3, StageOverrides(bases=1))
+    # values of the right type but out of range or unknown
+    with pytest.raises(StageLoadError, match="npcs must be >= 0"):
+        resolve_config(4, StageOverrides(npcs=-1))
+    with pytest.raises(StageLoadError, match=r"goal must be one of \['navigation'"):
+        resolve_config(1, StageOverrides(goal="nope"))
+    with pytest.raises(StageLoadError, match=r"coop_topology must be one of \['none'"):
+        resolve_config(5, StageOverrides(coop_topology="bogus"))
     # each value must have its field's type
     for bad in ({"turns": "ten"}, {"agents": True}, {"npcs": 2.0}, {"spawn_jitter_cells": "1"},
                 {"wall_density": "0.1"}, {"wall_density": False}, {"goal": 1},
