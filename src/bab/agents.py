@@ -219,7 +219,8 @@ class CannedPolicy:
     def __init__(self, transcript_path: str) -> None:
         self.path = transcript_path
         lines = Path(transcript_path).read_text(encoding="utf-8").splitlines()
-        self.replies = [json.loads(line) for line in lines if line.strip()]
+        self.replies = [_transcript_reply(transcript_path, i, line)
+                        for i, line in enumerate(lines, 1) if line.strip()]
         self.cursor = 0
 
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
@@ -228,6 +229,16 @@ class CannedPolicy:
         reply = self.replies[self.cursor]
         self.cursor += 1
         return ChatExchange(response=reply)
+
+
+def _transcript_reply(path: str, line_no: int, line: str) -> str:
+    try:
+        reply = json.loads(line)
+    except json.JSONDecodeError:
+        reply = None
+    if not isinstance(reply, str):
+        raise AgentError(f"transcript {path} line {line_no} is not a JSON string: {line!r}")
+    return reply
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .agents import AgentError, parse_model_name
 from .metrics import DENOMINATOR_MODES, MetricsError, aggregate, episodes_csv, summary_table
-from .replay import ReplayError, metrics_from_log, replay_verify
+from .replay import ReplayError, load_world, metrics_from_log, read_log, replay_verify
 from .runner import RunConfig, run_benchmark
 from .stages import STAGE_SETTINGS, StageLoadError, StageOverrides
 
@@ -128,7 +128,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     episodes = []
     for path in logs:
         try:
-            episodes.append(metrics_from_log(path, args.macc_denominator))
+            log = read_log(path)
+            load_world(log.header)  # a header that does not fit its stage is not scored
+            episodes.append(metrics_from_log(log, args.macc_denominator))
         except (ReplayError, MetricsError) as exc:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
     if not episodes:

@@ -1,29 +1,35 @@
 """Replay logs: self-describing JSON-lines records plus re-simulation.
 
-Each line is one record tagged with its kind: a ``header`` (resolved
-stage config, seed, agent bindings, layout, distance targets), one
-``turn`` record per live agent per turn, ``coop`` records for routed
-cooperation events, and a final ``end`` record carrying the canonical
-world hash. A turn line is ``TurnRecord.to_dict()``, read back with
-``TurnRecord.from_dict``. Lines are flushed as they are written, so a
+Each line is a JSON object tagged with its ``kind``. The ``header`` line
+is a ``HeaderRecord``, each ``turn`` line (one per live agent per turn) a
+``TurnRecord`` and the final ``end`` line an ``EndRecord``: each is its
+record's ``to_dict()``, keyed by the field names, and ``read_log`` reads
+it back with ``types.decode``, which checks every value against its
+field's annotation. ``coop`` lines, routed cooperation events, stay
+dicts, since their ``from`` key cannot be a field name; only their
+integer ``turn`` is checked. Lines are flushed as they are written, so a
 crash loses at most the turn in flight, and any prefix cut at a line
 boundary is still parseable and verifiable up to its last complete turn.
 
-Replay feeds each turn's logged replies through ``engine.play_turn``,
-the turn sequence the live run used, and checks every engine-filled turn
-field, every coop line and, when present, the whole end record.
+Replay loads the world that the header's stage, seed and overrides name,
+and requires the header's ``config``, ``primary_ids``, ``targets`` and
+``layout`` to equal those rebuilt from it; its other fields are the
+run's inputs, taken as logged. It then feeds each turn's logged replies
+through ``engine.play_turn``, the turn sequence the live run used, and
+checks every engine-filled turn field, every coop line and, when
+present, the whole end record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .engine import play_turn
+from .engine import base_objective, play_turn
 from .metrics import EpisodeSummary, MetricsError, compute_episode
 from .stages import StageOverrides, load_stage
-from .types import Pos, StageLoadError, TurnRecord, WorldState
+from .types import DecodeError, EndReason, Pos, StageLoadError, TurnRecord, WorldState, decode
 
 LOG_VERSION = 1
 
@@ -51,58 +57,8 @@ class ReplayWriter:
         self._fh.write(_dump(record) + "\n")
         self._fh.flush()
 
-    def write_header(
-        self,
-        world: WorldState,
-        overrides: dict,
-        agents: dict[int, dict],
-        primary_ids: list[int],
-        targets: dict[int, Pos],
-        model: str,
-        coop_enabled: bool,
-        locale: str,
-        macc_denominator: str,
-    ) -> None:
-        self._write(
-            {
-                "kind": "header",
-                "version": LOG_VERSION,
-                "stage_id": world.config.stage_id,
-                "seed": world.seed,
-                "overrides": overrides,
-                "config": world.config.as_dict(),
-                "model": model,
-                "coop_enabled": coop_enabled,
-                "locale": locale,
-                "macc_denominator": macc_denominator,
-                "agents": {str(k): v for k, v in sorted(agents.items())},
-                "primary_ids": primary_ids,
-                "targets": {str(k): list(v) for k, v in sorted(targets.items())},
-                "layout": {
-                    "tanks": [
-                        {
-                            "id": t.id,
-                            "kind": t.kind.value,
-                            "team": t.team,
-                            "pos": list(t.pos),
-                            "facing": t.facing.value,
-                            "health": t.health,
-                        }
-                        for t in sorted(world.tanks.values(), key=lambda t: t.id)
-                    ],
-                    "bases": [
-                        {
-                            "id": b.id,
-                            "team": b.team,
-                            "pos": list(b.pos),
-                            "solid": b.solid,
-                        }
-                        for b in sorted(world.bases.values(), key=lambda b: b.id)
-                    ],
-                    "wall_cells": len(world.walls),
-                },
-            }
-        )
+    def write_header(self, header: HeaderRecord) -> None:
+        self._write(header.to_dict())
 
     def write_turn(self, record: TurnRecord) -> None:
         self._write(record.to_dict())
@@ -111,84 +67,163 @@ class ReplayWriter:
         self._write({"kind": "coop", **event})
 
     def write_end(self, world: WorldState, summary: EpisodeSummary) -> None:
-        self._write(end_record(world, summary))
+        self._write(end_record(world, summary).to_dict())
 
 
-def end_record(world: WorldState, summary: EpisodeSummary) -> dict:
-    """The end record of a world that has ended."""
-    return {
-        "kind": "end",
-        "reason": world.status.value,
-        "winner_team": world.winner_team,
-        "turns": world.turn,
-        "world_hash": world.world_hash(),
-        "metrics": {
-            "f_dis": summary.f_dis,
-            "f_acc": summary.f_acc,
-            "m_acc": summary.m_acc,
-            "score": summary.score,
-            "goal_completion": summary.goal_completion,
-        },
+@dataclass
+class HeaderRecord:
+    """The first line of a log; the field names are its keys. A line may
+    leave out the fields with a default, which readers have always
+    filled in."""
+
+    stage_id: int
+    seed: int
+    targets: dict[int, Pos]  # agent id -> distance target
+    primary_ids: list[int]
+    config: dict  # the StageConfig's fields
+    layout: dict
+    agents: dict  # str(agent id) -> AgentSpec.as_dict()
+    locale: str
+    version: int
+    overrides: dict = field(default_factory=dict)
+    model: str = "unknown"
+    coop_enabled: bool = True
+    macc_denominator: str = "moves"
+
+    def to_dict(self) -> dict:
+        # json sorts keys before it writes them as strings, so sort these as strings
+        targets = {str(k): v for k, v in self.targets.items()}
+        return {"kind": "header", **vars(self), "targets": targets}
+
+
+@dataclass
+class EndRecord:
+    """The last line of a complete log; the field names are its keys."""
+
+    reason: EndReason
+    winner_team: int | None
+    turns: int
+    world_hash: str
+    metrics: dict
+
+    def to_dict(self) -> dict:
+        return {"kind": "end", **vars(self)}
+
+
+def primary_agent_ids(world: WorldState) -> list[int]:
+    """The first team's agents; on single-agent stages, the one agent."""
+    return [t.id for t in world.live_agents() if t.team == 0]
+
+
+def distance_targets(world: WorldState) -> dict[int, Pos]:
+    """Per-agent forward-distance target, fixed at episode start."""
+    return {a.id: base_objective(world, a) or a.pos for a in world.live_agents()}
+
+
+def _world_fields(world: WorldState) -> dict:
+    """The header fields that follow from a world that has not started."""
+    layout = {
+        "tanks": [{"id": t.id, "kind": t.kind.value, "team": t.team, "pos": list(t.pos),
+                   "facing": t.facing.value, "health": t.health}
+                  for t in sorted(world.tanks.values(), key=lambda t: t.id)],
+        "bases": [{"id": b.id, "team": b.team, "pos": list(b.pos), "solid": b.solid}
+                  for b in sorted(world.bases.values(), key=lambda b: b.id)],
+        "wall_cells": len(world.walls),
     }
+    return {"config": asdict(world.config), "primary_ids": primary_agent_ids(world),
+            "targets": distance_targets(world), "layout": layout}
+
+
+def header_record(world: WorldState, **run) -> HeaderRecord:
+    """The header of an episode on a world that has not started; ``run``
+    holds the fields that are the run's inputs."""
+    return HeaderRecord(stage_id=world.config.stage_id, seed=world.seed, version=LOG_VERSION,
+                        **_world_fields(world), **run)
+
+
+def end_record(world: WorldState, summary: EpisodeSummary) -> EndRecord:
+    """The end record of a world that has ended."""
+    metrics = {k: getattr(summary, k) for k in ("f_dis", "f_acc", "m_acc", "score",
+                                                "goal_completion")}
+    return EndRecord(reason=world.status, winner_team=world.winner_team, turns=world.turn,
+                     world_hash=world.world_hash(), metrics=metrics)
+
+
+def episode_summary(header: HeaderRecord, records: list[TurnRecord], reason: EndReason,
+                    turns: int, denominator: str | None = None) -> EpisodeSummary:
+    """The summary row of an episode that ended for ``reason`` after ``turns``."""
+    return compute_episode(
+        stage_id=header.stage_id, model=header.model, seed=header.seed, records=records,
+        targets=header.targets, primary_ids=header.primary_ids, end_reason=reason.value,
+        turns=turns, denominator=denominator or header.macc_denominator,
+    )
 
 
 @dataclass
 class ReplayLog:
-    header: dict
+    header: HeaderRecord
     turns: list[TurnRecord]
     coops: list[dict]
-    end: dict | None
-
-
-# header and end keys that replay and metrics read without a default
-_HEADER_KEYS = ("stage_id", "seed", "targets", "primary_ids")
-_END_KEYS = ("reason", "turns", "world_hash")
+    end: EndRecord | None
 
 
 def read_log(path: str | Path) -> ReplayLog:
-    """Read a log, decoding each turn line into a ``TurnRecord``; a line
-    that cannot be decoded, a coop line without an integer ``turn``, a
-    header without one of ``_HEADER_KEYS`` or an end record without one
-    of ``_END_KEYS`` raises ``ReplayError``."""
-    header = None
-    turn_lines: list[tuple[int, dict]] = []
-    coops: list[dict] = []
-    end = None
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    """Read a log, decoding header, turn and end lines into their records.
+    Text that is not UTF-8 or not JSON, a line of unknown kind, a coop
+    line without an integer ``turn``, a missing header or a line that
+    does not decode raises ``ReplayError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ReplayError(f"{path}: not UTF-8 text: {exc}") from None
+    lines: dict[str, list[tuple[int, dict]]] = {"header": [], "turn": [], "coop": [], "end": []}
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ReplayError(f"{path}: bad record on line {i + 1}: {exc}") from exc
-        kind = record.get("kind") if isinstance(record, dict) else None
-        if kind == "header":
-            header = record
-        elif kind == "turn":
-            turn_lines.append((i + 1, record))
-        elif kind == "coop":
-            if not isinstance(record.get("turn"), int):
-                raise ReplayError(f"{path}: coop record without a turn on line {i + 1}")
-            coops.append(record)
-        elif kind == "end":
-            end = record
-        else:
-            raise ReplayError(f"{path}: unknown record kind {kind!r} on line {i + 1}")
-    if header is None:
+            raise ReplayError(f"{path}: bad record on line {line_no}: {exc}") from exc
+        kind = record.pop("kind", None) if isinstance(record, dict) else None
+        if kind not in lines:
+            raise ReplayError(f"{path}: unknown record kind {kind!r} on line {line_no}")
+        if kind == "coop" and not isinstance(record.get("turn"), int):
+            raise ReplayError(f"{path}: coop record without a turn on line {line_no}")
+        lines[kind].append((line_no, record))
+    if not lines["header"]:
         raise ReplayError(f"{path}: missing header record")
-    missing = [key for key in _HEADER_KEYS if key not in header]
-    if missing:
-        raise ReplayError(f"{path}: header lacks {', '.join(missing)}")
-    missing = [key for key in _END_KEYS if end is not None and key not in end]
-    if missing:
-        raise ReplayError(f"{path}: end record lacks {', '.join(missing)}")
-    turns: list[TurnRecord] = []
-    for line_no, record in turn_lines:
+
+    def decoded(cls, name: str, line_no: int, record: dict):
         try:
-            turns.append(TurnRecord.from_dict(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReplayError(f"{path}: bad turn record on line {line_no}: {exc!r}") from exc
-    return ReplayLog(header=header, turns=turns, coops=coops, end=end)
+            return decode(cls, record)
+        except DecodeError as exc:
+            raise ReplayError(f"{path}: line {line_no}: {name} {exc}") from None
+
+    header = decoded(HeaderRecord, "header", *lines["header"][-1])
+    end = decoded(EndRecord, "end record", *lines["end"][-1]) if lines["end"] else None
+    turns = [decoded(TurnRecord, "turn record", *line) for line in lines["turn"]]
+    return ReplayLog(header=header, turns=turns, coops=[r for _, r in lines["coop"]], end=end)
+
+
+def load_world(header: HeaderRecord) -> WorldState:
+    """The world that the header's stage, seed and overrides load, checked
+    against the header's world-derived fields; ``ReplayError`` if it does
+    not load or a field differs."""
+    try:
+        overrides = StageOverrides.from_mapping(header.overrides)
+        world = load_stage(header.stage_id, header.seed, overrides)
+    except StageLoadError as exc:
+        raise ReplayError(f"header stage does not load: {exc}") from None
+    diverged = _diverged(replace(header, **_world_fields(world)), header)
+    if diverged:
+        raise ReplayError(f"header diverged from its stage: {', '.join(diverged)}")
+    return world
+
+
+def _diverged(expected, logged) -> list[str]:
+    """The fields in which two records of one class differ."""
+    return [f.name for f in fields(expected)
+            if getattr(expected, f.name) != getattr(logged, f.name)]
 
 
 @dataclass(frozen=True)
@@ -205,8 +240,8 @@ _ENGINE_FIELDS = tuple(f.name for f in fields(TurnRecord) if f.default is MISSIN
 
 
 def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
-    """Re-simulate from the header's seed, playing each turn's logged
-    replies through ``play_turn`` as the live run did.
+    """Re-simulate the world ``load_world`` gives for the header, playing
+    each turn's logged replies through ``play_turn`` as the live run did.
 
     Passes only if, turn by turn until the world ends, the records cover
     the live agents, every engine-filled field (action, target, coop,
@@ -220,11 +255,7 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
     if not isinstance(log, ReplayLog):
         log = read_log(log)
     header = log.header
-    try:
-        overrides = StageOverrides.from_mapping(header.get("overrides", {}))
-        world = load_stage(header["stage_id"], header["seed"], overrides)
-    except StageLoadError as exc:
-        raise ReplayError(f"header stage does not load: {exc}") from None
+    world = load_world(header)
     turns: dict[int, list[TurnRecord]] = {}
     for rec in log.turns:
         turns.setdefault(rec.turn, []).append(rec)
@@ -240,47 +271,35 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
                 return VerifyResult(True)  # truncated; verified up to here
             return VerifyResult(False, turn, "turn records do not cover live agents")
         replies = {a_id: rec.reply for a_id, rec in logged.items()}
-        events, records = play_turn(world, replies, header.get("coop_enabled", True))
+        events, records = play_turn(world, replies, header.coop_enabled)
         for rec in records:
             for key in _ENGINE_FIELDS:
                 replayed, recorded = getattr(rec, key), getattr(logged[rec.agent], key)
                 if replayed != recorded:
                     detail = f"agent {rec.agent}: {key} diverged ({replayed!r} != {recorded!r})"
                     return VerifyResult(False, turn, detail)
-        if [{"kind": "coop", **e} for e in events] != coops.pop(turn, []):
+        if events != coops.pop(turn, []):
             return VerifyResult(False, turn, "coop lines diverged")
 
     if turns or coops:
         return VerifyResult(False, world.turn, "log continues past episode end")
     if log.end is not None:
         try:
-            expected = end_record(world, metrics_from_log(log))
+            summary = episode_summary(header, log.turns, log.end.reason, log.end.turns)
         except MetricsError as exc:
             raise ReplayError(f"metrics cannot be computed: {exc}") from None
-        if expected != log.end:
-            keys = sorted(k for k in {**expected, **log.end} if expected.get(k) != log.end.get(k))
-            return VerifyResult(False, None, f"end record diverged: {', '.join(keys)}")
+        diverged = _diverged(end_record(world, summary), log.end)
+        if diverged:
+            return VerifyResult(False, None, f"end record diverged: {', '.join(diverged)}")
     return VerifyResult(True)
 
 
-def metrics_from_log(
-    log: ReplayLog | str | Path, denominator: str | None = None
-) -> EpisodeSummary:
-    """Recompute the episode summary purely from a replay log."""
+def metrics_from_log(log: ReplayLog | str | Path, denominator: str | None = None) -> EpisodeSummary:
+    """Recompute the episode summary purely from a replay log. Neither the
+    turns nor the header are checked against the stage: ``replay_verify``
+    and ``load_world`` do that."""
     if not isinstance(log, ReplayLog):
         log = read_log(log)
-    header = log.header
     if log.end is None:
         raise ReplayError("log has no end record; episode incomplete")
-    targets = {int(k): Pos(*v) for k, v in header["targets"].items()}
-    return compute_episode(
-        stage_id=header["stage_id"],
-        model=header.get("model", "unknown"),
-        seed=header["seed"],
-        records=log.turns,
-        targets=targets,
-        primary_ids=list(header["primary_ids"]),
-        end_reason=log.end["reason"],
-        turns=log.end["turns"],
-        denominator=denominator or header.get("macc_denominator", "moves"),
-    )
+    return episode_summary(log.header, log.turns, log.end.reason, log.end.turns, denominator)

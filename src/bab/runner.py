@@ -31,18 +31,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_backend
-from .engine import base_objective, play_turn
-from .metrics import (
-    EpisodeSummary,
-    aggregate,
-    compute_episode,
-    episodes_csv,
-    summary_table,
-)
+from .engine import play_turn
+from .metrics import EpisodeSummary, aggregate, episodes_csv, summary_table
 from .prompts import render_observation
-from .replay import ReplayWriter
+from .replay import ReplayWriter, episode_summary, header_record, primary_agent_ids
 from .stages import StageOverrides, load_stage
-from .types import Pos, TurnRecord, WorldState
+from .types import TurnRecord, WorldState
 
 log = logging.getLogger(__name__)
 
@@ -72,44 +66,31 @@ class EpisodeResult:
     records: list[TurnRecord] = field(default_factory=list)
 
 
-def primary_agent_ids(world: WorldState) -> list[int]:
-    """The first team's agents; on single-agent stages, the one agent."""
-    return [t.id for t in world.live_agents() if t.team == 0]
-
-
-def distance_targets(world: WorldState) -> dict[int, Pos]:
-    """Per-agent forward-distance target, fixed at episode start."""
-    return {a.id: base_objective(world, a) or a.pos for a in world.live_agents()}
-
-
 def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> EpisodeResult:
     """Play one seeded episode to termination, streaming the replay log."""
     world = load_stage(config.stage_id, seed, config.overrides)
     primary_ids = primary_agent_ids(world)
-    targets = distance_targets(world)
-
-    backends = {}
-    specs = {}
-    for agent in world.live_agents():
-        spec = config.primary if agent.id in primary_ids else config.reference
-        backends[agent.id] = make_backend(
-            spec, config.stage_id, agent.id, config.coop_enabled
-        )
-        specs[agent.id] = spec.as_dict()
+    specs = {
+        agent.id: config.primary if agent.id in primary_ids else config.reference
+        for agent in world.live_agents()
+    }
+    header = header_record(
+        world,
+        overrides=config.overrides.as_dict() if config.overrides else {},
+        agents={str(agent_id): spec.as_dict() for agent_id, spec in specs.items()},
+        model=config.model_label,
+        coop_enabled=config.coop_enabled,
+        locale=config.locale,
+        macc_denominator=config.macc_denominator,
+    )
+    backends = {
+        agent_id: make_backend(spec, config.stage_id, agent_id, config.coop_enabled)
+        for agent_id, spec in specs.items()
+    }
 
     writer = ReplayWriter(log_path) if log_path is not None else None
     if writer is not None:
-        writer.write_header(
-            world,
-            overrides=config.overrides.as_dict() if config.overrides else {},
-            agents=specs,
-            primary_ids=primary_ids,
-            targets=targets,
-            model=config.model_label,
-            coop_enabled=config.coop_enabled,
-            locale=config.locale,
-            macc_denominator=config.macc_denominator,
-        )
+        writer.write_header(header)
 
     all_records: list[TurnRecord] = []
     last_record: dict[int, TurnRecord] = {}
@@ -157,17 +138,7 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
                 if writer is not None:
                     writer.write_turn(record)
 
-        summary = compute_episode(
-            stage_id=config.stage_id,
-            model=config.model_label,
-            seed=seed,
-            records=all_records,
-            targets=targets,
-            primary_ids=primary_ids,
-            end_reason=world.status.value,
-            turns=world.turn,
-            denominator=config.macc_denominator,
-        )
+        summary = episode_summary(header, all_records, world.status, world.turn)
         if writer is not None:
             writer.write_end(world, summary)
     finally:
@@ -225,6 +196,4 @@ __all__ = [
     "EpisodeResult",
     "run_episode",
     "run_benchmark",
-    "primary_agent_ids",
-    "distance_targets",
 ]

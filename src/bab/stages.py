@@ -16,7 +16,7 @@ import random
 import zlib
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NamedTuple, get_args, get_type_hints
+from typing import NamedTuple
 
 import yaml
 
@@ -29,6 +29,7 @@ from .types import (
     WALL_SIZE,
     Base,
     CoopTopology,
+    DecodeError,
     Goal,
     Orientation,
     Pos,
@@ -38,6 +39,7 @@ from .types import (
     TankKind,
     WallGrid,
     WorldState,
+    decode,
     first_overlapping,
     in_bounds,
 )
@@ -127,16 +129,13 @@ class StageOverrides:
         unknown = set(data) - set(OVERRIDE_KEYS)
         if unknown:
             raise StageLoadError(
-                f"unknown stage-config keys: {sorted(unknown)}; "
+                f"unknown stage-config keys: {sorted(unknown, key=str)}; "
                 f"allowed: {list(OVERRIDE_KEYS)}"
             )
-        for key, value in data.items():
-            kind = _OVERRIDE_TYPES[key]
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise StageLoadError(
-                    f"stage-config key {key!r} takes {_TYPE_NAMES[kind]}, not {value!r}"
-                )
-        return cls(**data)
+        try:
+            return decode(cls, data)
+        except DecodeError as exc:
+            raise StageLoadError(f"stage-config key {exc}") from None
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StageOverrides":
@@ -148,15 +147,6 @@ class StageOverrides:
 
 
 OVERRIDE_KEYS = tuple(f.name for f in fields(StageOverrides))
-# the type each override takes, from its "kind | None" field; a float field
-# takes an int too. bool is an int subclass, so from_mapping rejects it apart
-_OVERRIDE_TYPES = {
-    key: (int, float) if kind is float else kind
-    for key, kind in (
-        (key, get_args(hint)[0]) for key, hint in get_type_hints(StageOverrides).items()
-    )
-}
-_TYPE_NAMES = {int: "an integer", (int, float): "a number", str: "a string"}
 
 
 def derive_seed(seed: int, tag: str) -> int:

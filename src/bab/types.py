@@ -15,7 +15,9 @@ import random
 import struct
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Iterator, NamedTuple
+from functools import cache
+from types import NoneType, UnionType
+from typing import Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 MAP_SIZE = 512
 TANK_SIZE = 32
@@ -213,9 +215,6 @@ class StageConfig:
     spawn_jitter_cells: int
     wall_density: float
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass
 class CoopMessage:
@@ -259,9 +258,9 @@ class ShootOutcome:
 @dataclass
 class TurnRecord:
     """Per-agent, per-turn log entry. The field names are the keys of a
-    ``turn`` line in the replay log. The engine fills the fields without a
-    default and the reply it acted on; the harness adds the prompt and
-    exchange metadata."""
+    ``turn`` line in the replay log, read back with ``decode``. The engine
+    fills the fields without a default and the reply it acted on; the
+    harness adds the prompt and exchange metadata."""
 
     turn: int
     agent: int
@@ -285,24 +284,6 @@ class TurnRecord:
     def to_dict(self) -> dict:
         # json writes Pos as a list and the str-enum facing as its value
         return {"kind": "turn", **vars(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TurnRecord":
-        """Decode a turn line; KeyError, TypeError or ValueError if malformed."""
-        values = {name: d[name] if default is MISSING else d.get(name, default)
-                  for name, default in _TURN_FIELDS}
-        values["pos_before"] = Pos(*values["pos_before"])
-        values["pos_after"] = Pos(*values["pos_after"])
-        if values["objective"] is not None:
-            values["objective"] = Pos(*values["objective"])
-        values["facing"] = Orientation(values["facing"])
-        if not isinstance(values["reply"], str):
-            raise TypeError("reply is not a string")
-        return cls(**values)
-
-
-# (name, default) per field; MISSING marks the fields the engine fills
-_TURN_FIELDS = tuple((f.name, f.default) for f in fields(TurnRecord))
 
 
 @dataclass
@@ -477,3 +458,95 @@ def first_overlapping(items, x: int, y: int, w: int, h: int, keep=None):
 
 def in_bounds(x: int, y: int, size: int = TANK_SIZE) -> bool:
     return 0 <= x <= MAP_SIZE - size and 0 <= y <= MAP_SIZE - size
+
+
+class DecodeError(ValueError):
+    """A JSON object that does not fit a record's fields."""
+
+
+def decode(cls, data: dict):
+    """The dataclass ``cls`` built from a JSON object whose keys are its
+    field names, each value checked against the field's annotation.
+    ``DecodeError`` names the missing fields that have no default, the
+    first bad value, or the keys that name no field."""
+    required, converters = _schema(cls)
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise DecodeError(f"lacks {', '.join(missing)}")
+    # keyed by the field names, not by the parsed JSON's key strings: the
+    # call below matches interned keyword names by identity, far faster
+    values = {}
+    for name, (convert, expected) in converters.items():
+        if name in data:
+            try:
+                values[name] = convert(data[name])
+            except (TypeError, ValueError, KeyError):
+                raise DecodeError(f"{name!r} takes {expected}, not {data[name]!r}") from None
+    if len(values) < len(data):
+        raise DecodeError(f"has keys that name no field: {sorted(data.keys() - converters.keys())}")
+    return cls(**values)
+
+
+@cache
+def _schema(cls) -> tuple[list[str], dict]:
+    """The fields ``cls`` requires, and per field (converter, what it takes)."""
+    hints = get_type_hints(cls)
+    return ([f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING],
+            {f.name: _converter(hints[f.name]) for f in fields(cls)})
+
+
+def _converter(hint) -> tuple:
+    """(convert, what it takes) for an annotation: ``convert`` returns the
+    field value for a JSON value or raises TypeError, ValueError or
+    KeyError. A plain type takes exactly itself, so a bool is no int, but
+    a float takes an int, kept as it is so that it re-encodes to the same
+    text. ``dict[int, V]`` is keyed by ``str(id)``."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):  # X | None
+        if args[0] in _KINDS:
+            kinds, expected = _KINDS[args[0]]
+            return _exactly(*kinds, NoneType), expected
+        convert, expected = _converter(args[0])
+        return (lambda v: None if v is None else convert(v)), expected
+    if origin is list:
+        item, expected = _converter(args[0])
+        return (lambda v: [item(x) for x in _is_list(v)]), f"a list, each {expected}"
+    if origin is dict:
+        item, expected = _converter(args[1])
+        return (lambda v: {_id(k): item(x) for k, x in _is_dict(v).items()},
+                f"an object of id: {expected}")
+    if hint is Pos:
+        return _pos, "[x, y]"
+    if issubclass(hint, Enum):
+        return {m.value: m for m in hint}.__getitem__, f"one of {[m.value for m in hint]}"
+    kinds, expected = _KINDS[hint]
+    return _exactly(*kinds), expected
+
+
+# the JSON types that each plain annotation takes
+_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          bool: ((bool,), "true or false"), str: ((str,), "a string"), dict: ((dict,), "an object")}
+
+
+def _exactly(*kinds: type):
+    def convert(value):
+        if type(value) not in kinds:
+            raise TypeError
+        return value
+    return convert
+
+
+_is_list, _is_dict = _exactly(list), _exactly(dict)
+
+
+def _id(key: str) -> int:
+    """An id from an object key, which only ``str(id)`` spells."""
+    if str(int(key)) != key:
+        raise ValueError
+    return int(key)
+
+
+def _pos(value) -> Pos:
+    if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is int:
+        return Pos(*value)
+    raise TypeError

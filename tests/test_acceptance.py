@@ -458,7 +458,7 @@ def test_criterion_9_ablation(tmp_path):
     )
     run_episode(config, 4, path)
     log = read_log(path)
-    flagged = log.header["coop_enabled"] is False
+    flagged = log.header.coop_enabled is False
     no_coop_records = not log.coops
 
     ok = clean and routed == 0 and mailboxes_empty and flagged and no_coop_records

@@ -173,6 +173,15 @@ def test_canned_replays_lines_then_errors(tmp_path):
         policy.decide("", w, 1)
 
 
+@pytest.mark.parametrize("bad", ["5", "not json", "null", '["#Operation: #Shoot#"]'])
+def test_canned_rejects_a_line_that_is_not_a_json_string(tmp_path, bad):
+    path = tmp_path / "transcript.jsonl"
+    path.write_text(json.dumps("#Operation: #Shoot#") + "\n\n" + bad + "\n", encoding="utf-8")
+    spec = AgentSpec(backend="canned", transcript_path=str(path))
+    with pytest.raises(AgentError, match="line 3 is not a JSON string"):
+        make_backend(spec, 1, 1)
+
+
 # ----------------------------------------------------------------------
 # remote backend over a live HTTP stub
 # ----------------------------------------------------------------------

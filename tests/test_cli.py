@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from bab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAIL, main
 
 
@@ -239,3 +241,71 @@ def test_bare_end_record_fails_verify_and_is_skipped_by_report(tmp_path, capsys)
     assert f"skipping {bad.name}" in captured.err
     assert "F Dis" in captured.out
     assert len((out_dir / "episodes.csv").read_text().splitlines()) == 2  # the good log
+
+
+def _set(key, value):
+    return lambda record: record.update({key: value})
+
+
+def _shift_first_tank(header):
+    header["layout"]["tanks"][0]["pos"][0] += 32
+
+
+# (line kind, edit): one value of a stage-4 log, edited in place
+TAMPERS = {
+    "turn-turn-list": ("turn", _set("turn", [0])),
+    "turn-agent-str": ("turn", _set("agent", "1")),
+    "turn-score-delta-str": ("turn", _set("score_delta", "0")),
+    "turn-format-ok-str": ("turn", _set("format_ok", "yes")),
+    "header-seed-str": ("header", _set("seed", "0")),
+    "header-targets-list": ("header", _set("targets", [])),
+    "header-primary-ids-int": ("header", _set("primary_ids", 5)),
+    "header-coop-enabled-str": ("header", _set("coop_enabled", "no")),
+    "header-primary-ids-extra": ("header", _set("primary_ids", [1, 99])),
+    "header-config-turn-cap": ("header", lambda h: h["config"].update(turn_cap=81)),
+    "header-layout-tank-pos": ("header", _shift_first_tank),
+    "header-targets-extra": ("header", lambda h: h["targets"].update({"99": [0, 0]})),
+    "end-turns-str": ("end", lambda end: end.update(turns=str(end["turns"]))),
+    "not-utf8": (None, None),
+    # a key that names no field of the line's record
+    "header-unknown-key": ("header", _set("bonus", 5)),
+    "turn-unknown-key": ("turn", _set("bonus", 5)),
+    "end-unknown-key": ("end", _set("bonus", 5)),
+}
+
+
+@pytest.fixture(scope="module")
+def stage4_logs(tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("stage4")
+    assert main(["run", "--stage", "4", "--seed", "0", "--runs", "2",
+                 "--primary-model", "random", "--out", str(out_dir)]) == EXIT_OK
+    return sorted(out_dir.glob("*.jsonl"))  # seeds 0 and 1
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERS))
+def test_tampered_log_fails_verify_and_is_skipped_by_report(tmp_path, capsys, stage4_logs,
+                                                            case):
+    """One bad value anywhere in a log fails ``bab verify`` cleanly, and a
+    report skips that log and scores the good one."""
+    source, good = stage4_logs
+    kind, edit = TAMPERS[case]
+    bad = tmp_path / source.name
+    if kind is None:
+        bad.write_bytes(b"\xff" + source.read_bytes())
+    else:
+        lines = source.read_text(encoding="utf-8").splitlines()
+        i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+        record = json.loads(lines[i])
+        edit(record)
+        lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / good.name).write_bytes(good.read_bytes())
+    capsys.readouterr()
+
+    assert run_cli("verify", str(bad)) == EXIT_VERIFY_FAIL
+    assert "FAIL" in capsys.readouterr().out
+
+    assert run_cli("report", str(tmp_path)) == EXIT_OK
+    assert f"skipping {bad.name}" in capsys.readouterr().err
+    rows = (tmp_path / "episodes.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 2 and rows[1].startswith("4,random,1,")  # the good log

@@ -8,8 +8,8 @@ whose log carries coop lines. A change
 anywhere in layout, rendering, parsing, the local policies, turn
 resolution, cooperation routing, metrics or log encoding changes one of
 these digests, so a refactor that keeps them keeps behaviour. Each
-turn line must also re-encode byte-identically through ``TurnRecord``,
-and every pinned log must pass ``replay_verify``.
+header, turn and end line must also re-encode byte-identically through
+its record class, and every pinned log must pass ``replay_verify``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from pathlib import Path
 import pytest
 
 from bab.agents import AgentSpec
-from bab.replay import read_log, replay_verify
+from bab.replay import EndRecord, HeaderRecord, read_log, replay_verify
 from bab.runner import RunConfig, run_episode
 from bab.stages import StageOverrides
-from bab.types import TurnRecord
+from bab.types import TurnRecord, decode
+
+RECORDS = {"header": HeaderRecord, "turn": TurnRecord, "end": EndRecord}
 
 PAIRINGS = {
     "random-greedy": ("random", "greedy"),
@@ -123,11 +125,15 @@ def dump(record: dict) -> str:
 def test_whole_log_pins(tmp_path, case):
     path = run_pinned(tmp_path, *case)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LOG_PINS[case]
-    # every turn line decodes to a TurnRecord that encodes back to the same bytes
-    for line in path.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        if record["kind"] == "turn":
-            assert dump(TurnRecord.from_dict(record).to_dict()) == line
+    # every header, turn and end line decodes to its record, which encodes
+    # back to the same bytes
+    lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    assert records[0]["kind"] == "header" and records[-1]["kind"] == "end"
+    for line, record in zip(lines, records):
+        cls = RECORDS.get(record.pop("kind"))
+        if cls is not None:
+            assert dump(decode(cls, record).to_dict()) == line
     assert replay_verify(path).ok
 
 

@@ -8,6 +8,7 @@ import pytest
 from bab.agents import AgentSpec
 from bab.cli import EXIT_VERIFY_FAIL, main
 from bab.replay import (
+    HeaderRecord,
     ReplayError,
     metrics_from_log,
     read_log,
@@ -15,6 +16,7 @@ from bab.replay import (
 )
 from bab.runner import RunConfig, run_episode
 from bab.stages import StageOverrides
+from bab.types import DecodeError, Orientation, Pos, TurnRecord, decode
 
 
 def small_config(stage_id=2, coop=True, **kw) -> RunConfig:
@@ -45,13 +47,13 @@ def test_log_is_json_lines_with_known_kinds(episode_log):
 def test_header_carries_run_context(episode_log):
     log = read_log(episode_log)
     h = log.header
-    assert h["stage_id"] == 2 and h["seed"] == 0
-    assert h["coop_enabled"] is True
-    assert h["primary_ids"] == [1]
-    assert h["config"]["turn_cap"] == 60
-    assert h["layout"]["bases"][0]["id"] == 101
+    assert h.stage_id == 2 and h.seed == 0
+    assert h.coop_enabled is True
+    assert h.primary_ids == [1]
+    assert h.config["turn_cap"] == 60
+    assert h.layout["bases"][0]["id"] == 101
     assert log.end is not None
-    assert len(log.end["world_hash"]) == 64
+    assert len(log.end.world_hash) == 64
 
 
 def test_untampered_log_verifies(episode_log):
@@ -153,8 +155,8 @@ def test_overrides_flow_through_header_and_verify(tmp_path):
     cfg = small_config(stage_id=4, overrides=StageOverrides(npcs=2, turns=20))
     run_episode(cfg, 1, path)
     log = read_log(path)
-    assert log.header["overrides"] == {"npcs": 2, "turns": 20}
-    assert log.header["config"]["n_npcs"] == 2
+    assert log.header.overrides == {"npcs": 2, "turns": 20}
+    assert log.header.config["n_npcs"] == 2
     assert replay_verify(log).ok
 
 
@@ -206,7 +208,7 @@ def test_log_with_every_agent_dead_verifies(tmp_path):
     log = read_log(path)
     assert not result.world.live_agents()
     assert log.turns[-1].alive_after is False
-    assert log.turns[-1].turn + 1 < log.end["turns"]
+    assert log.turns[-1].turn + 1 < log.end.turns
     assert replay_verify(log).ok
 
 
@@ -362,3 +364,33 @@ def test_malformed_turn_line_is_a_replay_error(episode_log, edit):
     episode_log.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ReplayError, match="line 2"):
         read_log(episode_log)
+
+
+def test_decode_checks_each_value_against_its_annotation(episode_log):
+    lines = episode_log.read_text(encoding="utf-8").splitlines()
+    turn, header = json.loads(lines[1]), json.loads(lines[0])
+    del turn["kind"], header["kind"]
+    # a float field keeps an int as it is; None fills an optional field
+    record = decode(TurnRecord, {**turn, "latency_ms": 3, "objective": None})
+    assert record.latency_ms == 3 and type(record.latency_ms) is int
+    assert record.objective is None
+    assert record.pos_before == Pos(*turn["pos_before"])
+    assert record.facing is Orientation(turn["facing"])
+    targets = {int(k): Pos(*v) for k, v in header["targets"].items()}
+    assert decode(HeaderRecord, header).targets == targets
+    for cls, line, key, value, expected in [
+        (TurnRecord, turn, "agent", True, "an integer"),
+        (TurnRecord, turn, "latency_ms", False, "a number"),
+        (TurnRecord, turn, "pos_after", [0, 0, 0], r"\[x, y\]"),
+        (TurnRecord, turn, "facing", "north", r"one of \['up', 'down', 'left', 'right'\]"),
+        (TurnRecord, turn, "target", "3", "an integer"),
+        (HeaderRecord, header, "primary_ids", [1.0], "a list, each an integer"),
+        (HeaderRecord, header, "targets", {"one": [0, 0]}, r"an object of id: \[x, y\]"),
+        (HeaderRecord, header, "targets", {"01": [0, 0]}, r"an object of id: \[x, y\]"),
+    ]:
+        with pytest.raises(DecodeError, match=f"'{key}' takes {expected}, not "):
+            decode(cls, {**line, key: value})
+    with pytest.raises(DecodeError, match=r"^has keys that name no field: \['bonus', 'kind'\]$"):
+        decode(TurnRecord, {**turn, "kind": "turn", "bonus": 5})
+    with pytest.raises(DecodeError, match="^lacks stage_id, seed$"):
+        decode(HeaderRecord, {k: v for k, v in header.items() if k not in ("seed", "stage_id")})

@@ -91,6 +91,9 @@ def test_override_counts_and_keys():
     assert w.config.turn_cap == 100
     with pytest.raises(StageLoadError, match="unknown stage-config keys"):
         StageOverrides.from_mapping({"agents": 4, "bogus": 1})
+    # YAML keys need not be strings
+    with pytest.raises(StageLoadError, match=r"unknown stage-config keys: \[1, 'bogus'\]"):
+        StageOverrides.from_mapping({1: 2, "bogus": 1})
 
 
 def test_override_file_roundtrip(tmp_path):
