@@ -110,18 +110,12 @@ class EndRecord:
         return {"kind": "end", **vars(self)}
 
 
-def primary_agent_ids(world: WorldState) -> list[int]:
-    """The first team's agents; on single-agent stages, the one agent."""
-    return [t.id for t in world.live_agents() if t.team == 0]
-
-
-def distance_targets(world: WorldState) -> dict[int, Pos]:
-    """Per-agent forward-distance target, fixed at episode start."""
-    return {a.id: base_objective(world, a) or a.pos for a in world.live_agents()}
-
-
-def _world_fields(world: WorldState) -> dict:
-    """The header fields that follow from a world that has not started."""
+def world_fields(world: WorldState) -> dict:
+    """The header fields that follow from a world that has not started:
+    the first team's agents are the primary ones (on single-agent stages,
+    the one agent), and each agent's forward-distance target is fixed
+    here."""
+    agents = world.live_agents()
     layout = {
         "tanks": [{"id": t.id, "kind": t.kind.value, "team": t.team, "pos": list(t.pos),
                    "facing": t.facing.value, "health": t.health}
@@ -130,15 +124,9 @@ def _world_fields(world: WorldState) -> dict:
                   for b in sorted(world.bases.values(), key=lambda b: b.id)],
         "wall_cells": len(world.walls),
     }
-    return {"config": asdict(world.config), "primary_ids": primary_agent_ids(world),
-            "targets": distance_targets(world), "layout": layout}
-
-
-def header_record(world: WorldState, **run) -> HeaderRecord:
-    """The header of an episode on a world that has not started; ``run``
-    holds the fields that are the run's inputs."""
-    return HeaderRecord(stage_id=world.config.stage_id, seed=world.seed, version=LOG_VERSION,
-                        **_world_fields(world), **run)
+    return {"config": asdict(world.config), "primary_ids": [a.id for a in agents if a.team == 0],
+            "targets": {a.id: base_objective(world, a) or a.pos for a in agents},
+            "layout": layout}
 
 
 def end_record(world: WorldState, summary: EpisodeSummary) -> EndRecord:
@@ -170,8 +158,9 @@ class ReplayLog:
 def read_log(path: str | Path) -> ReplayLog:
     """Read a log, decoding header, turn and end lines into their records.
     Text that is not UTF-8 or not JSON, a line of unknown kind, a coop
-    line without an integer ``turn``, a missing header or a line that
-    does not decode raises ``ReplayError``."""
+    line without an integer ``turn``, a missing header, a header of
+    another ``version`` than ``LOG_VERSION`` or a line that does not
+    decode raises ``ReplayError``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -200,6 +189,8 @@ def read_log(path: str | Path) -> ReplayLog:
             raise ReplayError(f"{path}: line {line_no}: {name} {exc}") from None
 
     header = decoded(HeaderRecord, "header", *lines["header"][-1])
+    if header.version != LOG_VERSION:
+        raise ReplayError(f"{path}: log version {header.version}, not {LOG_VERSION}")
     end = decoded(EndRecord, "end record", *lines["end"][-1]) if lines["end"] else None
     turns = [decoded(TurnRecord, "turn record", *line) for line in lines["turn"]]
     return ReplayLog(header=header, turns=turns, coops=[r for _, r in lines["coop"]], end=end)
@@ -214,7 +205,7 @@ def load_world(header: HeaderRecord) -> WorldState:
         world = load_stage(header.stage_id, header.seed, overrides)
     except StageLoadError as exc:
         raise ReplayError(f"header stage does not load: {exc}") from None
-    diverged = _diverged(replace(header, **_world_fields(world)), header)
+    diverged = _diverged(replace(header, **world_fields(world)), header)
     if diverged:
         raise ReplayError(f"header diverged from its stage: {', '.join(diverged)}")
     return world

@@ -34,7 +34,7 @@ from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_back
 from .engine import play_turn
 from .metrics import EpisodeSummary, aggregate, episodes_csv, summary_table
 from .prompts import render_observation
-from .replay import ReplayWriter, episode_summary, header_record, primary_agent_ids
+from .replay import LOG_VERSION, HeaderRecord, ReplayWriter, episode_summary, world_fields
 from .stages import StageOverrides, load_stage
 from .types import TurnRecord, WorldState
 
@@ -69,13 +69,16 @@ class EpisodeResult:
 def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> EpisodeResult:
     """Play one seeded episode to termination, streaming the replay log."""
     world = load_stage(config.stage_id, seed, config.overrides)
-    primary_ids = primary_agent_ids(world)
+    derived = world_fields(world)
     specs = {
-        agent.id: config.primary if agent.id in primary_ids else config.reference
+        agent.id: config.primary if agent.id in derived["primary_ids"] else config.reference
         for agent in world.live_agents()
     }
-    header = header_record(
-        world,
+    header = HeaderRecord(
+        stage_id=config.stage_id,
+        seed=seed,
+        version=LOG_VERSION,
+        **derived,
         overrides=config.overrides.as_dict() if config.overrides else {},
         agents={str(agent_id): spec.as_dict() for agent_id, spec in specs.items()},
         model=config.model_label,

@@ -16,7 +16,7 @@ import struct
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import cache
-from types import NoneType, UnionType
+from types import UnionType
 from typing import Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 MAP_SIZE = 512
@@ -480,7 +480,7 @@ def decode(cls, data: dict):
         if name in data:
             try:
                 values[name] = convert(data[name])
-            except (TypeError, ValueError, KeyError):
+            except (TypeError, ValueError, KeyError, AttributeError):
                 raise DecodeError(f"{name!r} takes {expected}, not {data[name]!r}") from None
     if len(values) < len(data):
         raise DecodeError(f"has keys that name no field: {sorted(data.keys() - converters.keys())}")
@@ -497,24 +497,20 @@ def _schema(cls) -> tuple[list[str], dict]:
 
 def _converter(hint) -> tuple:
     """(convert, what it takes) for an annotation: ``convert`` returns the
-    field value for a JSON value or raises TypeError, ValueError or
-    KeyError. A plain type takes exactly itself, so a bool is no int, but
-    a float takes an int, kept as it is so that it re-encodes to the same
-    text. ``dict[int, V]`` is keyed by ``str(id)``."""
+    field value for a JSON value or raises TypeError, ValueError, KeyError
+    or AttributeError. A plain type takes exactly itself, so a bool is no
+    int, but a float takes an int, kept as it is so that it re-encodes to
+    the same text. ``dict[int, V]`` is keyed by ``str(id)``."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):  # X | None
-        if args[0] in _KINDS:
-            kinds, expected = _KINDS[args[0]]
-            return _exactly(*kinds, NoneType), expected
         convert, expected = _converter(args[0])
         return (lambda v: None if v is None else convert(v)), expected
     if origin is list:
         item, expected = _converter(args[0])
-        return (lambda v: [item(x) for x in _is_list(v)]), f"a list, each {expected}"
-    if origin is dict:
+        return (lambda v: [item(x) for x in _exactly(list)(v)]), f"a list, each {expected}"
+    if origin is dict:  # only a JSON object has .items()
         item, expected = _converter(args[1])
-        return (lambda v: {_id(k): item(x) for k, x in _is_dict(v).items()},
-                f"an object of id: {expected}")
+        return (lambda v: {_id(k): item(x) for k, x in v.items()}), f"an object of id: {expected}"
     if hint is Pos:
         return _pos, "[x, y]"
     if issubclass(hint, Enum):
@@ -534,9 +530,6 @@ def _exactly(*kinds: type):
             raise TypeError
         return value
     return convert
-
-
-_is_list, _is_dict = _exactly(list), _exactly(dict)
 
 
 def _id(key: str) -> int:

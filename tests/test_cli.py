@@ -266,6 +266,7 @@ TAMPERS = {
     "header-layout-tank-pos": ("header", _shift_first_tank),
     "header-targets-extra": ("header", lambda h: h["targets"].update({"99": [0, 0]})),
     "end-turns-str": ("end", lambda end: end.update(turns=str(end["turns"]))),
+    "header-version-2": ("header", _set("version", 2)),
     "not-utf8": (None, None),
     # a key that names no field of the line's record
     "header-unknown-key": ("header", _set("bonus", 5)),
