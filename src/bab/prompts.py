@@ -4,7 +4,8 @@ The per-stage template files under ``templates/`` carry the canonical
 prompt text for both locales with ``{{slot}}`` placeholders marking the
 fill points (turn counter, entity listings, local map block, last-round
 feedback). Rendering is a pure function of its inputs: it never mutates
-the world.
+the world. It fills the wall grid's text cache (``WallGrid.cells_text``),
+which is not world state.
 
 ``_PHRASES`` is the one place for locale text outside ``templates/``:
 enum words, the generated lines and the feedback sentences, one table
@@ -46,17 +47,6 @@ COOP_HISTORY_LIMIT = 5
 _SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 _COOP_RE = re.compile(r"\[\[coop:(.*?)\]\]", re.S)
 
-
-class _OriginText(dict):
-    """The text of each wall-cell origin, "(x, y)", formatted on first use
-    and then kept, so a prompt looks its cells' text up."""
-
-    def __missing__(self, origin: tuple[int, int]) -> str:
-        text = self[origin] = "({}, {})".format(*origin)
-        return text
-
-
-_WALL_TEXT = _OriginText()
 
 # words are keyed by enum value (facing, tank type, disposition, blocker);
 # lines and sentences are str.format patterns. Cooperation-only template
@@ -233,30 +223,23 @@ def _map_lines(world: WorldState, agent: Tank, locale: str) -> str:
     lines = [p["ahead"].format(p["ahead_" + kind].format(*fields))]
     walls = _nearby_walls(world, agent)
     if walls:
-        lines.append(p["nearby_walls"].format(", ".join(map(_WALL_TEXT.__getitem__, walls))))
+        lines.append(p["nearby_walls"].format(walls))
     return _block(lines)
 
 
-def _nearby_walls(world: WorldState, agent: Tank) -> list[tuple[int, int]]:
-    """Wall-cell origins within the local window, x-major; navigation
-    stages only report the half-plane ahead of the tank."""
+def _nearby_walls(world: WorldState, agent: Tank) -> str:
+    """The "(x, y)" origins of the wall cells whose centre is within the
+    local window, x-major, joined by ", ". Navigation stages report only
+    the half-plane ahead of the tank, (8 * i + 4 - c) * d >= 0 on the
+    facing axis, which clips that axis's lattice range. The grid keeps
+    each column's text (``WallGrid.cells_text``)."""
     cx, cy = agent.center
-    forward_only = world.config.goal is Goal.NAVIGATION
-    dx, dy = agent.facing.delta
-    # lattice indices whose cell centre (8 * i + 4) is within the window
     reach = MAP_WINDOW + TANK_SIZE // 2
-    ys = _window(cy, reach)
-    present = world.walls.cells
-    cells = []
-    for wx in _window(cx, reach):
-        for wy in ys:
-            if (wx, wy) not in present:
-                continue
-            x, y = wx * WALL_SIZE, wy * WALL_SIZE
-            if forward_only and (x + 4 - cx) * dx + (y + 4 - cy) * dy < 0:
-                continue
-            cells.append((x, y))
-    return cells
+    xs, ys = _window(cx, reach), _window(cy, reach)
+    if world.config.goal is Goal.NAVIGATION:
+        dx, dy = agent.facing.delta
+        xs, ys = _ahead(xs, cx, dx), _ahead(ys, cy, dy)
+    return world.walls.cells_text(xs, ys)
 
 
 def _window(c: int, reach: int) -> range:
@@ -264,6 +247,15 @@ def _window(c: int, reach: int) -> range:
     lo = -(-(c - reach - 4) // WALL_SIZE)
     hi = (c + reach - 4) // WALL_SIZE
     return range(max(0, lo), min(WALL_LATTICE - 1, hi) + 1)
+
+
+def _ahead(indices: range, c: int, d: int) -> range:
+    """The indices i in ``indices`` with (8 * i + 4 - c) * d >= 0."""
+    if d > 0:
+        return range(max(indices.start, -(-(c - 4) // WALL_SIZE)), indices.stop)
+    if d < 0:
+        return range(indices.start, min(indices.stop, (c - 4) // WALL_SIZE + 1))
+    return indices
 
 
 def _last_op_value(navigation: bool, locale: str, record: TurnRecord | None) -> str:

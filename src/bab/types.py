@@ -165,10 +165,18 @@ class Base:
 
 
 class WallGrid:
-    """Occupancy of the 64x64 lattice of 8x8 wall cells."""
+    """Occupancy of the 64x64 lattice of 8x8 wall cells.
+
+    ``cells`` is read-only to callers: change it only through ``add`` and
+    ``remove``. Each of them drops its column's entry in the text cache
+    that ``cells_text`` fills, so no caller can leave stale text behind.
+    The cache is not world state: ``world_hash`` reads ``cells`` only.
+    """
 
     def __init__(self, cells: set[tuple[int, int]] | None = None) -> None:
         self.cells: set[tuple[int, int]] = set(cells or ())
+        # column -> (its present rows as a bitmask, {row subset: text})
+        self._columns: dict[int, tuple[int, dict[int, str]]] = {}
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -178,9 +186,37 @@ class WallGrid:
 
     def add(self, cx: int, cy: int) -> None:
         self.cells.add((cx, cy))
+        self._columns.pop(cx, None)
 
     def remove(self, cx: int, cy: int) -> None:
         self.cells.discard((cx, cy))
+        self._columns.pop(cx, None)
+
+    def cells_text(self, xs: range, ys: range) -> str:
+        """The pixel origins "(x, y)" of the present cells in columns
+        ``xs`` and rows ``ys``, x-major, joined by ", ".
+
+        Each column's text is cached under the subset of its present rows
+        that ``ys`` selects, so windows that select the same cells share
+        one entry and an empty selection needs none."""
+        rows = (1 << ys.stop) - (1 << ys.start) if ys else 0
+        texts = []
+        for cx in xs:
+            column = self._columns.get(cx)
+            if column is None:
+                present = sum(1 << cy for cy in range(WALL_LATTICE) if (cx, cy) in self.cells)
+                column = self._columns[cx] = (present, {})
+            present, cached = column
+            selected = present & rows
+            if selected:
+                text = cached.get(selected)
+                if text is None:
+                    x = cx * WALL_SIZE
+                    text = cached[selected] = ", ".join(
+                        f"({x}, {cy * WALL_SIZE})" for cy in ys if selected >> cy & 1
+                    )
+                texts.append(text)
+        return ", ".join(texts)
 
     def cell_at(self, x: int, y: int) -> tuple[int, int] | None:
         """Return the present wall cell containing pixel (x, y), if any."""

@@ -334,7 +334,8 @@ def shot_effects(world, shoot, shooter_id):
         {b.id: b.destroyed for b in world.bases.values()},
         probes,
     )
-    world.walls.cells = cells
+    for cell in effects[2]:
+        walls.add(*cell)
     for t in world.tanks.values():
         t.health, t.score = tanks[t.id]
     for b in world.bases.values():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from bab.prompts import (
     render_observation,
 )
 from bab.stages import load_stage
-from bab.types import Action, Disposition, Goal, Orientation, Pos, TurnRecord
+from bab.types import Action, Disposition, Goal, Orientation, Pos, TurnRecord, WallGrid
 
 from conftest import agent, base, make_world
 
@@ -240,12 +241,23 @@ def full_scan_walls(world, tank):
     return cells
 
 
-# tank origins: the map edges, the 8-px lattice, and any pixel
+def wall_text(cells):
+    """The report's text for a list of wall-cell origins."""
+    return ", ".join(f"({x}, {y})" for x, y in cells)
+
+
+# tank origins: the map edges, the 8-px lattice, any pixel, and origins
+# whose centre (origin + 16) is a cell centre 8 * i + 4, where the
+# half-plane ahead of the tank includes that cell's row or column
 tank_coord = st.one_of(
     st.sampled_from([0, 8, 16, 24, 32, 448, 456, 464, 472, 480]),
     st.integers(min_value=0, max_value=60).map(lambda i: i * 8),
     st.integers(min_value=0, max_value=480),
+    st.integers(min_value=0, max_value=59).map(lambda i: i * 8 + 4),
 )
+lattice = st.integers(min_value=0, max_value=63)
+wall_edits = st.lists(st.tuples(st.sampled_from(["add", "remove"]), lattice, lattice),
+                      max_size=12)
 
 
 @st.composite
@@ -258,16 +270,48 @@ def wall_sets(draw):
 
 
 @given(
+    data=st.data(),
     walls=wall_sets(),
-    x=tank_coord,
-    y=tank_coord,
-    facing=st.sampled_from(list(Orientation)),
     goal=st.sampled_from([Goal.NAVIGATION, Goal.COMPETITIVE]),
 )
 @settings(max_examples=300, deadline=None)
-def test_nearby_walls_matches_full_scan(walls, x, y, facing, goal):
-    w = make_world([agent(1, x, y, facing=facing)], walls=walls, goal=goal)
-    assert _nearby_walls(w, w.tanks[1]) == full_scan_walls(w, w.tanks[1])
+def test_nearby_walls_matches_full_scan(data, walls, goal):
+    """One world rendered from several tank origins, in every facing, with
+    drawn ``add`` and ``remove`` calls between renders, so cached column
+    text must follow every change."""
+    w = make_world([agent(1, 0, 0)], walls=walls, goal=goal)
+    tank = w.tanks[1]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+        tank.pos = Pos(data.draw(tank_coord), data.draw(tank_coord))
+        for facing in Orientation:
+            tank.facing = facing
+            assert _nearby_walls(w, tank) == wall_text(full_scan_walls(w, tank))
+        for op, cx, cy in data.draw(wall_edits):
+            getattr(w.walls, op)(cx, cy)
+
+
+@pytest.mark.parametrize("stage_id", [1, 7])
+def test_rendering_leaves_the_world_unchanged(stage_id):
+    """Renders between wall removals change nothing a hash or a query of
+    the grid can see: the world equals one built fresh from its cells."""
+    world = load_stage(stage_id, 0)
+    cells = set(world.walls.cells)
+    rng = random.Random(stage_id)
+    for _ in range(40):
+        before = world.world_hash()
+        for a in world.live_agents():
+            for locale in LOCALES:
+                render_observation(world, a.id, locale)
+        assert world.world_hash() == before
+        cell = rng.choice(sorted(cells))
+        world.walls.remove(*cell)
+        cells.discard(cell)
+    fresh = WallGrid(cells)
+    assert world.walls.cells == fresh.cells == cells
+    assert world.world_hash() == replace(world, walls=fresh).world_hash()
+    assert len(world.walls) == len(fresh)
+    lattice_cells = [(x, y) for x in range(64) for y in range(64)]
+    assert [c in world.walls for c in lattice_cells] == [c in fresh for c in lattice_cells]
 
 
 # ----------------------------------------------------------------------
