@@ -36,7 +36,7 @@ import urllib3
 
 from .engine import base_objective, probe_ahead
 from .parsing import NO_COOP, Action, format_reply
-from .stages import STAGE_PROTOCOLS, coop_active, derive_seed
+from .stages import coop_active, derive_seed, is_navigation
 from .types import MOVE_DIRECTIONS, Orientation, Tank, WorldState
 
 API_KEY_ENV = "BAB_API_KEY"
@@ -95,8 +95,7 @@ class ChatExchange:
     error: str | None = None
 
 
-def parse_model_name(name: str, base_url: str = "", role: str = "primary",
-                     seed: int = 0) -> AgentSpec:
+def parse_model_name(name: str, base_url: str = "", role: str = "primary") -> AgentSpec:
     """Map a CLI model name onto a backend spec.
 
     ``random``, ``random:SEED``, ``greedy`` and ``canned:PATH`` select
@@ -106,7 +105,7 @@ def parse_model_name(name: str, base_url: str = "", role: str = "primary",
     if name == "greedy":
         return AgentSpec(backend="greedy", role=role)
     if name == "random":
-        return AgentSpec(backend="random", role=role, seed=seed)
+        return AgentSpec(backend="random", role=role)
     if name.startswith("random:"):
         return AgentSpec(backend="random", role=role, seed=int(name.split(":", 1)[1]))
     if name.startswith("canned:"):
@@ -154,7 +153,7 @@ class RandomPolicy:
         return ChatExchange(response=format_reply(self.stage_id, action, target, coop))
 
     def _pick_target(self, world: WorldState, agent_id: int) -> int:
-        if not STAGE_PROTOCOLS[self.stage_id].targeted:
+        if is_navigation(self.stage_id):
             return 0
         me = world.tanks[agent_id]
         enemies = [t.id for t in world.live_tanks() if t.team != me.team]

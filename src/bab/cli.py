@@ -157,11 +157,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_stages() -> int:
     print(f"{'stage':>5} {'turns':>5} {'agents':>6} {'teams':>5} {'bases':>5} "
           f"{'npcs':>4}  goal")
-    for stage_id, s in STAGE_SETTINGS.items():
-        print(
-            f"{stage_id:>5} {s['turns']:>5} {s['agents']:>6} {s['teams']:>5} "
-            f"{s['bases']:>5} {s['npcs']:>4}  {s['goal'].value}"
-        )
+    for c in STAGE_SETTINGS.values():
+        print(f"{c.stage_id:>5} {c.turn_cap:>5} {c.n_agents:>6} {c.n_teams:>5} "
+              f"{c.n_bases:>5} {c.n_npcs:>4}  {c.goal.value}")
     return EXIT_OK
 
 

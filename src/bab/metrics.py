@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass, field
 from statistics import mean
 
-from .stages import STAGE_PROTOCOLS
+from .stages import is_navigation
 from .types import MOVE_DIRECTIONS, MOVE_STEP, Action, Pos, TurnRecord
 
 DENOMINATOR_MODES = ("moves", "formatted")
@@ -172,7 +172,7 @@ def compute_episode(
         score=sum(p.score for p in primary),
         goal_completion=(
             mean(completions)
-            if completions and STAGE_PROTOCOLS[stage_id].navigation
+            if completions and is_navigation(stage_id)
             else None
         ),
         end_reason=end_reason,
@@ -233,8 +233,8 @@ def aggregate(episodes: list[EpisodeSummary]) -> MetricsReport:
     cross: dict[str, dict[str, float]] = {}
     for model in sorted({s.model for s in stages}):
         own = [s for s in stages if s.model == model]
-        nav = [s.f_dis for s in own if STAGE_PROTOCOLS[s.stage_id].navigation]
-        combat = [s.score for s in own if not STAGE_PROTOCOLS[s.stage_id].navigation]
+        nav = [s.f_dis for s in own if is_navigation(s.stage_id)]
+        combat = [s.score for s in own if not is_navigation(s.stage_id)]
         entry: dict[str, float] = {}
         if nav:
             entry["avg_dis"] = mean(nav)

@@ -14,12 +14,13 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .stages import STAGE_PROTOCOLS
+from .stages import coop_format, is_navigation
 from .types import Action
 
-# which markers a stage uses, and whether it needs a target clause, comes
-# from its entry in stages.STAGE_PROTOCOLS: cooperation stages use the
-# attack marker plus the cooperation marker, the others the operation one
+# which markers a stage uses, and whether it needs a target clause, follows
+# from its default config (stages.coop_format, stages.is_navigation):
+# cooperation stages use the attack marker plus the cooperation marker, the
+# others the operation one, and every combat stage names a target
 OP_MARKERS = ("#Operation:", "#操作:")
 ATTACK_MARKERS = ("#Attack operation:", "#攻击操作:")
 COOP_MARKERS = ("#Cooperation operation:", "#协作操作:")
@@ -77,10 +78,10 @@ def parse_response(stage_id: int, raw: str) -> ParsedAction:
     cooperation line is optional; a malformed one only drops that turn's
     cooperation command.
     """
-    protocol = STAGE_PROTOCOLS[stage_id]
-    markers = ATTACK_MARKERS if protocol.coop else OP_MARKERS
+    coop_stage = coop_format(stage_id)
+    markers = ATTACK_MARKERS if coop_stage else OP_MARKERS
     segment = _last_marker_segment(raw, markers)
-    coop = _parse_coop(raw) if protocol.coop else None
+    coop = _parse_coop(raw) if coop_stage else None
 
     if segment is None:
         return ParsedAction(None, None, coop, False, raw)
@@ -91,7 +92,7 @@ def parse_response(stage_id: int, raw: str) -> ParsedAction:
     action = Action(tokens[0])
 
     target_id = None
-    if protocol.targeted:
+    if not is_navigation(stage_id):
         m = _TARGET_RE.search(segment)
         if m is None:
             return ParsedAction(None, None, coop, False, raw)
@@ -145,11 +146,11 @@ def format_reply(
     Local decision-makers use this, which guarantees their replies parse
     back to the same action/target/coop triple.
     """
-    protocol = STAGE_PROTOCOLS[stage_id]
-    marker = (ATTACK_MARKERS if protocol.coop else OP_MARKERS)[0]
-    target = f" Target {target_id or 0}:" if protocol.targeted else ""
+    coop_stage = coop_format(stage_id)
+    marker = (ATTACK_MARKERS if coop_stage else OP_MARKERS)[0]
+    target = "" if is_navigation(stage_id) else f" Target {target_id or 0}:"
     line = f"{marker}{target} {action.value}"
-    if coop is not None and protocol.coop:
+    if coop is not None and coop_stage:
         line += f"\n{COOP_MARKERS[0]} {_format_coop(coop)}"
     return line
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .engine import probe_ahead
-from .stages import STAGE_PROTOCOLS, coop_active
+from .stages import TYPED_STAGES, coop_active, is_navigation
 from .types import (
     MOVE_DIRECTIONS,
     TANK_SIZE,
@@ -129,10 +129,9 @@ def render_observation(
     """Fill the stage template with the agent's view of the world."""
     agent = world.require_tank(agent_id)
     stage_id = world.config.stage_id
-    protocol = STAGE_PROTOCOLS[stage_id]
     template = load_template(stage_id, locale, coop_active(world.config, coop_enabled))
 
-    typed = protocol.typed
+    typed = stage_id in TYPED_STAGES
     teammates = [
         t for t in world.live_agents() if t.team == agent.team and t.id != agent_id
     ]
@@ -156,7 +155,7 @@ def render_observation(
         "attack_targets": _target_lines(world, agent),
         "coop_history": _coop_lines(world, agent_id, locale),
         "map_info": _map_lines(world, agent, locale),
-        "last_op": _last_op_value(protocol.navigation, locale, last_record),
+        "last_op": _last_op_value(is_navigation(stage_id), locale, last_record),
         "last_feedback": feedback_text(last_record, locale),
     }
     return _fill(template, values)

@@ -156,16 +156,28 @@ class ReplayLog:
 
 
 def read_log(path: str | Path) -> ReplayLog:
-    """Read a log, decoding header, turn and end lines into their records.
-    Text that is not UTF-8 or not JSON, a line of unknown kind, a coop
-    line without an integer ``turn``, a missing header, a header of
-    another ``version`` than ``LOG_VERSION`` or a line that does not
-    decode raises ``ReplayError``."""
+    """Read a log in the order it was written, decoding header, turn and
+    end lines into their records. Text that is not UTF-8 or not JSON, a
+    line of unknown kind, a coop line without an integer ``turn``, a first
+    line that is not the header, a second header, a line after the end
+    line, two turn lines for one (turn, agent), a header of another
+    ``version`` than ``LOG_VERSION`` or a line that does not decode
+    raises ``ReplayError``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ReplayError(f"{path}: not UTF-8 text: {exc}") from None
-    lines: dict[str, list[tuple[int, dict]]] = {"header": [], "turn": [], "coop": [], "end": []}
+
+    def decoded(cls, name: str, line_no: int, record: dict):
+        try:
+            return decode(cls, record)
+        except DecodeError as exc:
+            raise ReplayError(f"{path}: line {line_no}: {name} {exc}") from None
+
+    header = end = None
+    turns: list[TurnRecord] = []
+    coops: list[dict] = []
+    seen: set[tuple[int, int]] = set()
     for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -174,26 +186,33 @@ def read_log(path: str | Path) -> ReplayLog:
         except json.JSONDecodeError as exc:
             raise ReplayError(f"{path}: bad record on line {line_no}: {exc}") from exc
         kind = record.pop("kind", None) if isinstance(record, dict) else None
-        if kind not in lines:
+        if kind not in ("header", "turn", "coop", "end"):
             raise ReplayError(f"{path}: unknown record kind {kind!r} on line {line_no}")
         if kind == "coop" and not isinstance(record.get("turn"), int):
             raise ReplayError(f"{path}: coop record without a turn on line {line_no}")
-        lines[kind].append((line_no, record))
-    if not lines["header"]:
+        if (header is None) != (kind == "header"):
+            what = "missing header record" if header is None else "second header record"
+            raise ReplayError(f"{path}: {what} on line {line_no}")
+        if end is not None:
+            raise ReplayError(f"{path}: {kind} record after the end record on line {line_no}")
+        if kind == "header":
+            header = decoded(HeaderRecord, "header", line_no, record)
+            if header.version != LOG_VERSION:
+                raise ReplayError(f"{path}: log version {header.version}, not {LOG_VERSION}")
+        elif kind == "turn":
+            rec = decoded(TurnRecord, "turn record", line_no, record)
+            if (rec.turn, rec.agent) in seen:
+                raise ReplayError(f"{path}: second turn {rec.turn} record of agent "
+                                  f"{rec.agent} on line {line_no}")
+            seen.add((rec.turn, rec.agent))
+            turns.append(rec)
+        elif kind == "coop":
+            coops.append(record)
+        else:
+            end = decoded(EndRecord, "end record", line_no, record)
+    if header is None:
         raise ReplayError(f"{path}: missing header record")
-
-    def decoded(cls, name: str, line_no: int, record: dict):
-        try:
-            return decode(cls, record)
-        except DecodeError as exc:
-            raise ReplayError(f"{path}: line {line_no}: {name} {exc}") from None
-
-    header = decoded(HeaderRecord, "header", *lines["header"][-1])
-    if header.version != LOG_VERSION:
-        raise ReplayError(f"{path}: log version {header.version}, not {LOG_VERSION}")
-    end = decoded(EndRecord, "end record", *lines["end"][-1]) if lines["end"] else None
-    turns = [decoded(TurnRecord, "turn record", *line) for line in lines["turn"]]
-    return ReplayLog(header=header, turns=turns, coops=[r for _, r in lines["coop"]], end=end)
+    return ReplayLog(header=header, turns=turns, coops=coops, end=end)
 
 
 def load_world(header: HeaderRecord) -> WorldState:

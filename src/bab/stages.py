@@ -1,20 +1,23 @@
 """Stage definitions and deterministic world construction.
 
-Default settings for the seven stages (turn caps, entity counts, goals)
-live in STAGE_SETTINGS, and each stage's reply and prompt format in
-STAGE_PROTOCOLS. Layouts follow a fixed scheme: bases sit near map
-corners, each team's agents spawn next to their own base (jittered in
-whole 32-px cells), interference NPC tanks scatter over the central
-region, and sparse wall clusters fill the rest. All randomness comes from
-the world RNG stream, so identical (stage_id, seed, overrides) inputs
-always produce byte-identical worlds.
+STAGE_SETTINGS holds each of the seven stages' default StageConfig, which
+overrides replace field by field. A stage's reply and prompt format
+follows from its defaults: a navigation goal means replies name no attack
+target, and a cooperation topology means replies use the attack marker
+and may add a cooperation line; only the typed tank tuples of stages 6-7
+are listed apart, in TYPED_STAGES. Layouts follow a fixed scheme: bases
+sit near map corners, each team's agents spawn next to their own base
+(jittered in whole 32-px cells), interference NPC tanks scatter over the
+central region, and sparse wall clusters fill the rest. All randomness
+comes from the world RNG stream, so identical (stage_id, seed, overrides)
+inputs always produce byte-identical worlds.
 """
 
 from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,6 +29,7 @@ from .types import (
     MOVE_STEP,
     NPC_HEALTH,
     TANK_SIZE,
+    WALL_LATTICE,
     WALL_SIZE,
     Base,
     CoopTopology,
@@ -44,53 +48,38 @@ from .types import (
     in_bounds,
 )
 
-STAGE_SETTINGS: dict[int, dict] = {
-    1: dict(turns=60, agents=1, teams=1, bases=1, npcs=0, wall_density=0.05,
-            goal=Goal.NAVIGATION, coop_topology=CoopTopology.NONE),
-    2: dict(turns=60, agents=1, teams=1, bases=1, npcs=10, wall_density=0.05,
-            goal=Goal.NAVIGATION, coop_topology=CoopTopology.NONE),
-    3: dict(turns=80, agents=2, teams=1, bases=2, npcs=10, wall_density=0.42,
-            goal=Goal.COOPERATIVE, coop_topology=CoopTopology.INTRA_TEAM),
-    4: dict(turns=80, agents=2, teams=2, bases=2, npcs=10, wall_density=0.42,
-            goal=Goal.COMPETITIVE, coop_topology=CoopTopology.NONE),
-    5: dict(turns=80, agents=4, teams=2, bases=2, npcs=10, wall_density=0.42,
-            goal=Goal.STATIC_COOP, coop_topology=CoopTopology.INTRA_TEAM),
-    6: dict(turns=80, agents=4, teams=4, bases=4, npcs=10, wall_density=0.42,
-            goal=Goal.DYNAMIC_COOP, coop_topology=CoopTopology.INTER_TEAM),
-    7: dict(turns=80, agents=6, teams=3, bases=3, npcs=10, wall_density=0.42,
-            goal=Goal.HYBRID_COOP, coop_topology=CoopTopology.BOTH),
-}
+STAGE_SETTINGS: dict[int, StageConfig] = {c.stage_id: c for c in (
+    # fields in order: stage_id, turn_cap, n_agents, n_teams, n_bases, n_npcs,
+    # goal, coop_topology, spawn_jitter_cells, wall_density
+    StageConfig(1, 60, 1, 1, 1, 0, Goal.NAVIGATION, CoopTopology.NONE, 2, 0.05),
+    StageConfig(2, 60, 1, 1, 1, 10, Goal.NAVIGATION, CoopTopology.NONE, 2, 0.05),
+    StageConfig(3, 80, 2, 1, 2, 10, Goal.COOPERATIVE, CoopTopology.INTRA_TEAM, 2, 0.42),
+    StageConfig(4, 80, 2, 2, 2, 10, Goal.COMPETITIVE, CoopTopology.NONE, 2, 0.42),
+    StageConfig(5, 80, 4, 2, 2, 10, Goal.STATIC_COOP, CoopTopology.INTRA_TEAM, 2, 0.42),
+    StageConfig(6, 80, 4, 4, 4, 10, Goal.DYNAMIC_COOP, CoopTopology.INTER_TEAM, 2, 0.42),
+    StageConfig(7, 80, 6, 3, 3, 10, Goal.HYBRID_COOP, CoopTopology.BOTH, 2, 0.42),
+)}
+
+# prompt tank tuples carry a normal/advanced type field
+TYPED_STAGES = frozenset({6, 7})
 
 
-@dataclass(frozen=True)
-class StageProtocol:
-    """A stage's reply and prompt format.
-
-    navigation: one team drives to a goal base; otherwise a combat stage.
-    targeted: replies name an attack target ("Target <id>:").
-    coop: replies use the attack marker and may add a cooperation line.
-    typed: prompt tank tuples carry a normal/advanced type field.
-    """
-
-    navigation: bool = False
-    targeted: bool = False
-    coop: bool = False
-    typed: bool = False
+def is_navigation(stage_id: int) -> bool:
+    """Whether one team drives to a goal base; the other stages are
+    combat stages, whose replies name an attack target."""
+    return STAGE_SETTINGS[stage_id].goal is Goal.NAVIGATION
 
 
-_NAV, _DUEL = StageProtocol(navigation=True), StageProtocol(targeted=True)
-_COOP = StageProtocol(targeted=True, coop=True)
-_TYPED = StageProtocol(targeted=True, coop=True, typed=True)
-STAGE_PROTOCOLS = {1: _NAV, 2: _NAV, 3: _COOP, 4: _DUEL, 5: _COOP, 6: _TYPED, 7: _TYPED}
+def coop_format(stage_id: int) -> bool:
+    """Whether replies use the attack marker and may add a cooperation line."""
+    return STAGE_SETTINGS[stage_id].coop_topology is not CoopTopology.NONE
 
 
 def coop_active(config: StageConfig, coop_enabled: bool) -> bool:
     """Whether prompts offer cooperation and local backends reply with it."""
-    protocol = STAGE_PROTOCOLS[config.stage_id]
-    return coop_enabled and protocol.coop and config.coop_topology is not CoopTopology.NONE
+    return (coop_enabled and coop_format(config.stage_id)
+            and config.coop_topology is not CoopTopology.NONE)
 
-
-DEFAULT_SPAWN_JITTER_CELLS = 2
 
 BASE_ID_OFFSET = 100
 
@@ -155,26 +144,20 @@ def derive_seed(seed: int, tag: str) -> int:
     return (seed & 0xFFFFFFFFFFFF) ^ (crc << 8)
 
 
+# StageOverrides keys that are spelled differently in StageConfig
+_CONFIG_FIELD = {"turns": "turn_cap", "agents": "n_agents", "teams": "n_teams",
+                 "bases": "n_bases", "npcs": "n_npcs"}
+
+
 def resolve_config(stage_id: int, overrides: StageOverrides | None = None) -> StageConfig:
     if stage_id not in STAGE_SETTINGS:
         raise StageLoadError(f"invalid stage id {stage_id}; expected 1..7")
-    s = {
-        **STAGE_SETTINGS[stage_id],
-        "spawn_jitter_cells": DEFAULT_SPAWN_JITTER_CELLS,
-        **(overrides or StageOverrides()).as_dict(),
-    }
-    cfg = StageConfig(
-        stage_id=stage_id,
-        turn_cap=s["turns"],
-        n_agents=s["agents"],
-        n_teams=s["teams"],
-        n_bases=s["bases"],
-        n_npcs=s["npcs"],
-        goal=_member(Goal, "goal", s["goal"]),
-        coop_topology=_member(CoopTopology, "coop_topology", s["coop_topology"]),
-        spawn_jitter_cells=s["spawn_jitter_cells"],
-        wall_density=s["wall_density"],
-    )
+    changes = {_CONFIG_FIELD.get(k, k): v
+               for k, v in (overrides or StageOverrides()).as_dict().items()}
+    for key, enum in (("goal", Goal), ("coop_topology", CoopTopology)):
+        if key in changes:
+            changes[key] = _member(enum, key, changes[key])
+    cfg = replace(STAGE_SETTINGS[stage_id], **changes)
     _validate_config(cfg)
     return cfg
 
@@ -196,7 +179,7 @@ def _validate_config(cfg: StageConfig) -> None:
         raise StageLoadError("need at least one agent per team")
     if cfg.n_npcs < 0:
         raise StageLoadError("npcs must be >= 0")
-    navigation = STAGE_PROTOCOLS[cfg.stage_id].navigation
+    navigation = is_navigation(cfg.stage_id)
     if (cfg.goal is Goal.NAVIGATION) != navigation:
         raise StageLoadError(
             f"goal {cfg.goal.value!r} does not fit stage {cfg.stage_id}'s reply format"
@@ -343,16 +326,15 @@ def _face_outward(pos: Pos) -> Orientation:
     return Orientation.UP if dy > 0 else Orientation.DOWN
 
 
-def _add_base_ring(walls: WallGrid, pos: Pos, thickness: int = 2) -> None:
-    """Protective wall layers around the base footprint (clipped at edges)."""
-    lattice = MAP_SIZE // WALL_SIZE
+def _add_base_ring(walls: WallGrid, pos: Pos) -> None:
+    """Two protective wall layers around the base footprint (clipped at edges)."""
     cx0, cy0 = pos.x // WALL_SIZE, pos.y // WALL_SIZE
     span = TANK_SIZE // WALL_SIZE  # 4 cells
-    for cy in range(cy0 - thickness, cy0 + span + thickness):
-        for cx in range(cx0 - thickness, cx0 + span + thickness):
+    for cy in range(cy0 - 2, cy0 + span + 2):
+        for cx in range(cx0 - 2, cx0 + span + 2):
             if cx0 <= cx < cx0 + span and cy0 <= cy < cy0 + span:
                 continue  # the footprint itself
-            if 0 <= cx < lattice and 0 <= cy < lattice:
+            if 0 <= cx < WALL_LATTICE and 0 <= cy < WALL_LATTICE:
                 walls.add(cx, cy)
 
 
@@ -427,8 +409,7 @@ def _scatter_walls(
     is boxed in; NPC tanks only reserve their own footprint, so clutter
     lands among them too and fire lanes stay short.
     """
-    lattice = MAP_SIZE // WALL_SIZE
-    budget = int(cfg.wall_density * lattice * lattice)
+    budget = int(cfg.wall_density * WALL_LATTICE * WALL_LATTICE)
     npcs = [p for p in placed if p.name.startswith("npc")]
     spawns = [p for p in placed if not p.name.startswith("npc")]
     m = TANK_SIZE  # keep-out margin around spawns
@@ -438,8 +419,8 @@ def _scatter_walls(
         attempts += 1
         w = rng.randint(2, 4)
         h = rng.randint(2, 4)
-        cx = rng.randint(0, lattice - w)
-        cy = rng.randint(0, lattice - h)
+        cx = rng.randint(0, WALL_LATTICE - w)
+        cy = rng.randint(0, WALL_LATTICE - h)
         x, y, pw, ph = cx * WALL_SIZE, cy * WALL_SIZE, w * WALL_SIZE, h * WALL_SIZE
         if first_overlapping(npcs, x, y, pw, ph) or first_overlapping(
             spawns, x - m, y - m, pw + 2 * m, ph + 2 * m

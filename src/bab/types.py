@@ -492,8 +492,8 @@ def first_overlapping(items, x: int, y: int, w: int, h: int, keep=None):
     return None
 
 
-def in_bounds(x: int, y: int, size: int = TANK_SIZE) -> bool:
-    return 0 <= x <= MAP_SIZE - size and 0 <= y <= MAP_SIZE - size
+def in_bounds(x: int, y: int) -> bool:
+    return 0 <= x <= MAP_SIZE - TANK_SIZE and 0 <= y <= MAP_SIZE - TANK_SIZE
 
 
 class DecodeError(ValueError):

@@ -13,10 +13,16 @@ def run_cli(*argv) -> int:
 
 def test_stages_command_prints_table(capsys):
     assert run_cli("stages") == EXIT_OK
-    out = capsys.readouterr().out
-    assert "navigation" in out
-    for stage_id in "1234567":
-        assert f"\n    {stage_id} " in "\n" + out or stage_id in out
+    assert capsys.readouterr().out == (
+        "stage turns agents teams bases npcs  goal\n"
+        "    1    60      1     1     1    0  navigation\n"
+        "    2    60      1     1     1   10  navigation\n"
+        "    3    80      2     1     2   10  cooperative_task\n"
+        "    4    80      2     2     2   10  competitive_task\n"
+        "    5    80      4     2     2   10  static_coop\n"
+        "    6    80      4     4     4   10  dynamic_coop\n"
+        "    7    80      6     3     3   10  hybrid_coop\n"
+    )
 
 
 def test_run_report_verify_cycle(tmp_path, capsys):
@@ -251,7 +257,13 @@ def _shift_first_tank(header):
     header["layout"]["tanks"][0]["pos"][0] += 32
 
 
-# (line kind, edit): one value of a stage-4 log, edited in place
+def _turn_lines_twice(lines):
+    return [copy for line in lines
+            for copy in [line] * (2 if json.loads(line)["kind"] == "turn" else 1)]
+
+
+# (line kind, edit): one value of a stage-4 log, edited in place; for kind
+# "log", the edit takes and returns the log's lines, out of written order
 TAMPERS = {
     "turn-turn-list": ("turn", _set("turn", [0])),
     "turn-agent-str": ("turn", _set("agent", "1")),
@@ -272,6 +284,10 @@ TAMPERS = {
     "header-unknown-key": ("header", _set("bonus", 5)),
     "turn-unknown-key": ("turn", _set("bonus", 5)),
     "end-unknown-key": ("end", _set("bonus", 5)),
+    "log-turn-lines-twice": ("log", _turn_lines_twice),
+    "log-end-before-turns": ("log", lambda lines: [lines[0], lines[-1], *lines[1:-1]]),
+    "log-header-twice": ("log", lambda lines: [*lines, lines[0]]),
+    "log-line-after-end": ("log", lambda lines: [*lines[:-2], lines[-1], lines[-2]]),
 }
 
 
@@ -295,10 +311,13 @@ def test_tampered_log_fails_verify_and_is_skipped_by_report(tmp_path, capsys, st
         bad.write_bytes(b"\xff" + source.read_bytes())
     else:
         lines = source.read_text(encoding="utf-8").splitlines()
-        i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
-        record = json.loads(lines[i])
-        edit(record)
-        lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+        if kind == "log":
+            lines = edit(lines)
+        else:
+            i = next(i for i, line in enumerate(lines) if json.loads(line)["kind"] == kind)
+            record = json.loads(lines[i])
+            edit(record)
+            lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":"))
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
     (tmp_path / good.name).write_bytes(good.read_bytes())
     capsys.readouterr()

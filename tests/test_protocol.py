@@ -6,7 +6,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bab.coop import route_coop
@@ -274,7 +274,10 @@ def wall_sets(draw):
     walls=wall_sets(),
     goal=st.sampled_from([Goal.NAVIGATION, Goal.COMPETITIVE]),
 )
-@settings(max_examples=300, deadline=None)
+# no shrink phase: shrinking a failing example of these dense wall sets
+# takes minutes, while the unshrunk example is reported in seconds
+@settings(max_examples=300, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_nearby_walls_matches_full_scan(data, walls, goal):
     """One world rendered from several tank origins, in every facing, with
     drawn ``add`` and ``remove`` calls between renders, so cached column

@@ -313,6 +313,22 @@ def test_read_log_rejects_garbage(tmp_path):
         read_log(path)
 
 
+@pytest.mark.parametrize("reorder, error", [
+    (lambda lines: [lines[1], *lines], "missing header record on line 1"),
+    (lambda lines: [*lines[:2], lines[0], *lines[2:]], "second header record on line 3"),
+    (lambda lines: [*lines[:-2], lines[-1], lines[-2]], "after the end record"),
+    (lambda lines: [*lines[:2], *lines[1:]], "second turn 0 record of agent 1 on line 3"),
+], ids=["turn-first", "header-twice", "line-after-end", "turn-twice"])
+def test_read_log_takes_lines_in_written_order(episode_log, reorder, error):
+    """A log is read in the order it was written: one header first, at most
+    one end line, last, and one turn line per (turn, agent)."""
+    lines = episode_log.read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[1])["kind"] == "turn"
+    episode_log.write_text("\n".join(reorder(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ReplayError, match=error):
+        read_log(episode_log)
+
+
 @pytest.mark.parametrize("key", ["stage_id", "seed", "targets", "primary_ids"])
 def test_header_missing_a_key_is_a_replay_error(episode_log, key):
     lines = episode_log.read_text(encoding="utf-8").splitlines()

@@ -42,10 +42,10 @@ def test_stage5_counts():
 def test_all_stages_match_settings_table(stage_id):
     w = load_stage(stage_id, 3)
     s = STAGE_SETTINGS[stage_id]
-    assert len(w.live_agents()) == s["agents"]
-    assert len(w.live_npcs()) == s["npcs"]
-    assert w.config.turn_cap == s["turns"]
-    assert w.config.n_teams == s["teams"]
+    assert w.config == s
+    assert len(w.live_agents()) == s.n_agents
+    assert len(w.live_npcs()) == s.n_npcs
+    assert len(w.bases) == s.n_bases
     assert overlapping_pairs(w) == []
     for t in w.tanks.values():
         assert t.pos.x % 8 == 0 and t.pos.y % 8 == 0
