@@ -36,7 +36,7 @@ import urllib3
 
 from .engine import base_objective, probe_ahead
 from .parsing import NO_COOP, Action, format_reply
-from .stages import coop_active, derive_seed, is_navigation
+from .stages import derive_seed, is_navigation
 from .types import MOVE_DIRECTIONS, Orientation, Tank, WorldState
 
 API_KEY_ENV = "BAB_API_KEY"
@@ -149,7 +149,7 @@ class RandomPolicy:
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
         action = self.rng.choice(ALL_ACTIONS)
         target = self._pick_target(world, agent_id)
-        coop = NO_COOP if coop_active(world.config, self.coop_enabled) else None
+        coop = NO_COOP if self.coop_enabled else None
         return ChatExchange(response=format_reply(self.stage_id, action, target, coop))
 
     def _pick_target(self, world: WorldState, agent_id: int) -> int:
@@ -187,7 +187,7 @@ class GreedyPolicy:
             else:
                 action = _MOVE_FOR[direction]
         target = self._target_id(world, me)
-        coop = NO_COOP if coop_active(world.config, self.coop_enabled) else None
+        coop = NO_COOP if self.coop_enabled else None
         return format_reply(self.stage_id, action, target, coop)
 
     @staticmethod

@@ -20,7 +20,7 @@ from .agents import AgentError, parse_model_name
 from .metrics import DENOMINATOR_MODES, MetricsError, aggregate, episodes_csv, summary_table
 from .replay import ReplayError, load_world, metrics_from_log, read_log, replay_verify
 from .runner import RunConfig, run_benchmark
-from .stages import STAGE_SETTINGS, StageLoadError, StageOverrides
+from .stages import OVERRIDE_KEYS, STAGE_SETTINGS, StageLoadError, StageOverrides, resolve_config
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -48,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--locale", choices=("en", "zh"), default="en")
     run.add_argument("--macc-denominator", choices=DENOMINATOR_MODES, default="moves")
     run.add_argument("--stage-config", type=Path,
-                     help="YAML file with stage overrides (turns, agents, ...)")
+                     help=f"YAML file with stage overrides, keys: {', '.join(OVERRIDE_KEYS)};"
+                          " coop_topology must fit the stage")
     run.add_argument("--out", type=Path, required=True, help="output directory")
 
     report = sub.add_parser("report", help="recompute metrics from replay logs")
@@ -101,6 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     overrides = (
         StageOverrides.from_file(args.stage_config) if args.stage_config else None
     )
+    resolve_config(args.stage, overrides)  # a refused config runs no episode
     config = RunConfig(
         stage_id=args.stage,
         seeds=seeds,

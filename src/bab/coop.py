@@ -55,11 +55,16 @@ def route_coop(
         elif coop.kind is CoopKind.STOP:
             removed = _drop_pairs(world, agent_id)
             if removed:
-                events.append({"turn": world.turn, "event": "stop", "from": agent_id})
+                events.append(_event(world, "stop", agent_id))
         elif coop.kind is CoopKind.KEEP:
             if _active_pairs(world, agent_id):
-                events.append({"turn": world.turn, "event": "keep", "from": agent_id})
+                events.append(_event(world, "keep", agent_id))
     return events
+
+
+def _event(world: WorldState, kind: str, sender_id: int, **detail) -> dict:
+    """One loggable cooperation event; replay compares these dicts whole."""
+    return {"turn": world.turn, "event": kind, "from": sender_id, **detail}
 
 
 def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
@@ -79,34 +84,23 @@ def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
         if accepted:
             msg.disposition = Disposition.ACCEPTED
             world.coop_pairs.add(_pair(agent_id, msg.from_id))
-            events.append(
-                {"turn": world.turn, "event": "accept", "from": agent_id, "to": msg.from_id}
-            )
         else:
             msg.disposition = Disposition.REJECTED
-            events.append(
-                {"turn": world.turn, "event": "reject", "from": agent_id, "to": msg.from_id}
-            )
+        events.append(_event(world, "accept" if accepted else "reject", agent_id,
+                             to=msg.from_id))
     return events
 
 
 def _route_request(world: WorldState, sender_id: int, coop) -> dict:
-    event = {
-        "turn": world.turn,
-        "event": "request",
-        "from": sender_id,
-        "to": coop.to_id,
-        "message": coop.message,
-    }
     reason = _drop_reason(world, sender_id, coop.to_id)
     if reason is not None:
         log.debug("dropping coop request %s->%s: %s", sender_id, coop.to_id, reason)
-        event.update(event="drop", reason=reason)
-        return event
+        return _event(world, "drop", sender_id, to=coop.to_id, message=coop.message,
+                      reason=reason)
     world.coop_history.append(
         CoopMessage(turn=world.turn, from_id=sender_id, to_id=coop.to_id, body=coop.message)
     )
-    return event
+    return _event(world, "request", sender_id, to=coop.to_id, message=coop.message)
 
 
 def _drop_reason(world: WorldState, sender_id: int, to_id: int | None) -> str | None:

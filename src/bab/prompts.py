@@ -27,7 +27,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .engine import probe_ahead
-from .stages import TYPED_STAGES, coop_active, is_navigation
+from .stages import TYPED_STAGES, is_navigation
 from .types import (
     MOVE_DIRECTIONS,
     TANK_SIZE,
@@ -129,7 +129,7 @@ def render_observation(
     """Fill the stage template with the agent's view of the world."""
     agent = world.require_tank(agent_id)
     stage_id = world.config.stage_id
-    template = load_template(stage_id, locale, coop_active(world.config, coop_enabled))
+    template = load_template(stage_id, locale, coop_enabled)
 
     typed = stage_id in TYPED_STAGES
     teammates = [

@@ -170,13 +170,17 @@ def run_benchmark(configs: list[RunConfig], out_dir: str | Path) -> Path:
         raise ValueError("empty suite")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's outputs in this directory must not describe this one
+    for stale in ("episodes.csv", "summary.txt", "failures.txt"):
+        (out / stale).unlink(missing_ok=True)
 
     episodes: list[EpisodeSummary] = []
     failures: list[str] = []
     for config in configs:
-        for run_idx, seed in enumerate(config.seeds):
-            name = f"stage{config.stage_id}_{config.model_label}_seed{seed}.jsonl"
-            log_path = out / name
+        # a model name such as org/name must not open a subdirectory
+        label = config.model_label.replace("/", "_").replace("\\", "_")
+        for seed in config.seeds:
+            log_path = out / f"stage{config.stage_id}_{label}_seed{seed}.jsonl"
             try:
                 result = run_episode(config, seed, log_path)
                 episodes.append(result.summary)

@@ -5,12 +5,16 @@ overrides replace field by field. A stage's reply and prompt format
 follows from its defaults: a navigation goal means replies name no attack
 target, and a cooperation topology means replies use the attack marker
 and may add a cooperation line; only the typed tank tuples of stages 6-7
-are listed apart, in TYPED_STAGES. Layouts follow a fixed scheme: bases
-sit near map corners, each team's agents spawn next to their own base
-(jittered in whole 32-px cells), interference NPC tanks scatter over the
-central region, and sparse wall clusters fill the rest. All randomness
-comes from the world RNG stream, so identical (stage_id, seed, overrides)
-inputs always produce byte-identical worlds.
+are listed apart, in TYPED_STAGES. No override changes that format: the
+goal is not an override key, and coop_topology may name another topology
+on a cooperation stage but not none (a run turns cooperation off with
+coop_enabled, ``bab run --no-coop``), and only none elsewhere. Layouts
+follow a fixed scheme: bases sit near map corners, each team's agents
+spawn next to their own base (jittered in whole 32-px cells),
+interference NPC tanks scatter over the central region, and sparse wall
+clusters fill the rest. All randomness comes from the world RNG stream,
+so identical (stage_id, seed, overrides) inputs always produce
+byte-identical worlds.
 """
 
 from __future__ import annotations
@@ -75,12 +79,6 @@ def coop_format(stage_id: int) -> bool:
     return STAGE_SETTINGS[stage_id].coop_topology is not CoopTopology.NONE
 
 
-def coop_active(config: StageConfig, coop_enabled: bool) -> bool:
-    """Whether prompts offer cooperation and local backends reply with it."""
-    return (coop_enabled and coop_format(config.stage_id)
-            and config.coop_topology is not CoopTopology.NONE)
-
-
 BASE_ID_OFFSET = 100
 
 # Navigation stages: the lone agent starts in the bottom-left region and
@@ -108,7 +106,6 @@ class StageOverrides:
     npcs: int | None = None
     spawn_jitter_cells: int | None = None
     wall_density: float | None = None
-    goal: str | None = None
     coop_topology: str | None = None
 
     @classmethod
@@ -154,20 +151,17 @@ def resolve_config(stage_id: int, overrides: StageOverrides | None = None) -> St
         raise StageLoadError(f"invalid stage id {stage_id}; expected 1..7")
     changes = {_CONFIG_FIELD.get(k, k): v
                for k, v in (overrides or StageOverrides()).as_dict().items()}
-    for key, enum in (("goal", Goal), ("coop_topology", CoopTopology)):
-        if key in changes:
-            changes[key] = _member(enum, key, changes[key])
+    topology = changes.get("coop_topology")
+    if topology is not None:
+        try:
+            changes["coop_topology"] = CoopTopology(topology)
+        except ValueError:
+            allowed = [m.value for m in CoopTopology]
+            raise StageLoadError(
+                f"coop_topology must be one of {allowed}, not {topology!r}") from None
     cfg = replace(STAGE_SETTINGS[stage_id], **changes)
     _validate_config(cfg)
     return cfg
-
-
-def _member(enum, key: str, value):
-    try:
-        return enum(value)
-    except ValueError:
-        allowed = [m.value for m in enum]
-        raise StageLoadError(f"{key} must be one of {allowed}, not {value!r}") from None
 
 
 def _validate_config(cfg: StageConfig) -> None:
@@ -179,12 +173,12 @@ def _validate_config(cfg: StageConfig) -> None:
         raise StageLoadError("need at least one agent per team")
     if cfg.n_npcs < 0:
         raise StageLoadError("npcs must be >= 0")
-    navigation = is_navigation(cfg.stage_id)
-    if (cfg.goal is Goal.NAVIGATION) != navigation:
-        raise StageLoadError(
-            f"goal {cfg.goal.value!r} does not fit stage {cfg.stage_id}'s reply format"
-        )
-    if navigation:
+    cooperative = coop_format(cfg.stage_id)
+    if (cfg.coop_topology is CoopTopology.NONE) == cooperative:
+        hint = "; turn cooperation off with --no-coop" if cooperative else ""
+        raise StageLoadError(f"coop_topology {cfg.coop_topology.value!r} does not fit "
+                             f"stage {cfg.stage_id}'s reply format{hint}")
+    if is_navigation(cfg.stage_id):
         if cfg.n_teams != 1 or cfg.n_bases != 1:
             raise StageLoadError("navigation stages use exactly one team and one base")
     else:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from bab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAIL, main
+from bab.replay import read_log
 
 
 def run_cli(*argv) -> int:
@@ -118,12 +119,40 @@ def test_config_errors_exit_2(tmp_path, capsys):
 
 def test_override_of_wrong_type_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "stage.yaml"
-    cfg.write_text("turns: ten\n", encoding="utf-8")
     out_dir = tmp_path / "out"
-    assert run_cli("run", "--stage", "2", "--runs", "1", "--primary-model", "random",
-                   "--stage-config", str(cfg), "--out", str(out_dir)) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
-    assert not list(out_dir.glob("*.jsonl"))  # no episode ran
+    for stage, yaml_text in (
+        ("2", "turns: ten\n"),                 # wrong type
+        ("4", "npcs: -1\n"),                   # out of range
+        ("5", "coop_topology: none\n"),        # cooperation stage: --no-coop is the switch
+        ("4", "coop_topology: intra_team\n"),  # a stage without cooperation
+        ("9", ""),                             # no such stage
+    ):
+        cfg.write_text(yaml_text, encoding="utf-8")
+        assert run_cli("run", "--stage", stage, "--runs", "2", "--primary-model", "random",
+                       "--stage-config", str(cfg), "--out", str(out_dir)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()  # no episode ran, no failures.txt
+
+
+def test_accepted_topology_override_runs_verifies_and_reports(tmp_path, capsys):
+    # stage 7 routes requests both ways by default; intra_team drops the
+    # cross-team request that agent 1 (team 0) sends to agent 3 (team 1)
+    cfg = tmp_path / "stage.yaml"
+    cfg.write_text("coop_topology: intra_team\nturns: 3\n", encoding="utf-8")
+    transcript = tmp_path / "replies.jsonl"
+    reply = "#Attack operation: Target 3: #Shoot#\n#Cooperation operation: #Request_coop# 3: go"
+    transcript.write_text((json.dumps(reply) + "\n") * 3, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "7", "--runs", "1", "--primary-model",
+                   f"canned:{transcript}", "--stage-config", str(cfg),
+                   "--out", str(out_dir)) == EXIT_OK
+    log = next(out_dir.glob("*.jsonl"))
+    coops = read_log(log).coops
+    assert coops and {r["event"] for r in coops} == {"drop"}
+    assert {r["reason"] for r in coops} == {"cross-team request in an intra-team stage"}
+    assert run_cli("verify", str(log)) == EXIT_OK
+    assert run_cli("report", str(out_dir)) == EXIT_OK
+    assert "skipping" not in capsys.readouterr().err
 
 
 def test_header_override_of_wrong_type_fails_verify(tmp_path, capsys):
@@ -133,7 +162,8 @@ def test_header_override_of_wrong_type_fails_verify(tmp_path, capsys):
     log = next(out_dir.glob("*.jsonl"))
     lines = log.read_text(encoding="utf-8").splitlines()
     for overrides in ({"turns": "ten"}, None, {"npcs": -1}, {"coop_topology": "bogus"},
-                      {"goal": "nope"}):
+                      {"goal": "nope"}, {"goal": "navigation"},
+                      {"coop_topology": "intra_team"}):
         header = json.loads(lines[0])
         header["overrides"] = overrides
         log.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n", encoding="utf-8")

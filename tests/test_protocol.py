@@ -652,21 +652,14 @@ def test_no_coop_run_has_empty_mailboxes():
     assert w.coop_pairs == set()
 
 
-def test_topology_none_override_strips_coop_sections():
+def test_local_backends_leave_the_coop_line_out_when_coop_is_off():
     from bab.agents import AgentSpec, make_backend
-    from bab.stages import StageOverrides, load_stage as _load
 
-    w = _load(5, 1, StageOverrides(coop_topology="none"))
-    text = render_observation(w, 1, coop_enabled=True)
-    assert "#Cooperation" not in text and "#协作" not in render_observation(
-        w, 1, locale="zh", coop_enabled=True
-    )
-    # the local backends follow the prompt and leave the cooperation line out
     for stage_id in (3, 5):
-        w = _load(stage_id, 1, StageOverrides(coop_topology="none"))
+        w = load_stage(stage_id, 1)
         for backend in ("random", "greedy"):
-            policy = make_backend(AgentSpec(backend=backend, seed=3), stage_id, 1, True)
-            reply = policy.decide(render_observation(w, 1), w, 1).response
+            policy = make_backend(AgentSpec(backend=backend, seed=3), stage_id, 1, False)
+            reply = policy.decide(render_observation(w, 1, coop_enabled=False), w, 1).response
             assert "#Cooperation operation:" not in reply
             parsed = parse_response(stage_id, reply)
             assert parsed.format_ok and parsed.coop is None

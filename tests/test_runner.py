@@ -72,17 +72,32 @@ def test_npc_overflow_is_a_load_error():
         load_stage(2, 0, StageOverrides(npcs=500))
 
 
-def test_benchmark_survives_episode_failures(tmp_path):
-    bad = RunConfig(
+def failing_config():
+    return RunConfig(
         stage_id=1,
         seeds=[0],
         primary=AgentSpec(backend="canned", transcript_path="/nonexistent.jsonl"),
         reference=AgentSpec(backend="random", seed=2),
     )
+
+
+def test_benchmark_survives_episode_failures(tmp_path):
     good = config(stage_id=1)
-    out = run_benchmark([bad, good], tmp_path / "suite")
+    out = run_benchmark([failing_config(), good], tmp_path / "suite")
     assert (out / "failures.txt").exists()
     assert (out / "episodes.csv").exists()  # the good episode still reported
+
+
+def test_rerun_clears_outputs_it_does_not_write(tmp_path):
+    out = tmp_path / "suite"
+    out.mkdir()
+    (out / "failures.txt").write_text("stage1 seed0: old\n", encoding="utf-8")
+    run_benchmark([config(stage_id=1)], out)
+    assert not (out / "failures.txt").exists()
+    # a suite in which every episode fails leaves no summary of the earlier one
+    run_benchmark([failing_config()], out)
+    assert (out / "failures.txt").exists()
+    assert not (out / "episodes.csv").exists() and not (out / "summary.txt").exists()
 
 
 def test_run_episode_counts_remote_failures_as_invalid_turns(tmp_path):
@@ -164,8 +179,8 @@ def chat_stub():
     server.server_close()
 
 
-def remote_config(stub, turns=6):
-    spec = AgentSpec(backend="remote", model="stub",
+def remote_config(stub, turns=6, model="stub"):
+    spec = AgentSpec(backend="remote", model=model,
                      base_url=f"http://127.0.0.1:{stub.server_port}", timeout=30.0)
     return RunConfig(stage_id=7, seeds=[3], primary=spec, reference=spec,
                      overrides=StageOverrides(turns=turns))
@@ -182,6 +197,19 @@ def test_remote_decisions_overlap_within_the_pool_bound(chat_stub, tmp_path):
     assert chat_stub.served == len(result.records)
     assert all(r.error is None and r.format_ok for r in result.records)
     assert decide_threads() == []
+
+
+def test_model_name_with_a_slash_logs_into_the_out_dir(chat_stub, tmp_path):
+    from bab.cli import EXIT_OK, main
+
+    out = run_benchmark([remote_config(chat_stub, turns=2, model="org/name")], tmp_path / "out")
+    logs = [p.name for p in out.iterdir() if p.suffix == ".jsonl"]
+    assert logs == ["stage7_org_name_seed3.jsonl"]
+    header = json.loads((out / logs[0]).read_text(encoding="utf-8").splitlines()[0])
+    assert header["model"] == "org/name"
+    assert (out / "episodes.csv").read_text(encoding="utf-8").splitlines()[1].startswith(
+        "7,org/name,")
+    assert main(["report", str(out)]) == EXIT_OK
 
 
 def test_concurrent_logs_are_identical_but_for_latency(chat_stub, tmp_path):

@@ -12,6 +12,7 @@ from bab.stages import (
 from bab.types import (
     AGENT_HEALTH,
     NPC_HEALTH,
+    CoopTopology,
     Goal,
     StageLoadError,
     TankKind,
@@ -120,13 +121,6 @@ def test_override_validation_errors():
         resolve_config(1, StageOverrides(wall_density=0.9))
     with pytest.raises(StageLoadError, match="too many agents"):
         load_stage(4, 1, StageOverrides(agents=20, teams=2))
-    # the goal cannot move a stage between navigation and combat
-    with pytest.raises(StageLoadError, match="does not fit"):
-        resolve_config(4, StageOverrides(goal="navigation", bases=1))
-    with pytest.raises(StageLoadError, match="does not fit"):
-        resolve_config(1, StageOverrides(goal="competitive_task"))
-    with pytest.raises(StageLoadError, match="does not fit"):
-        resolve_config(2, StageOverrides(goal="cooperative_task", bases=2))
     with pytest.raises(StageLoadError, match="one team"):
         resolve_config(1, StageOverrides(agents=2, teams=2))
     with pytest.raises(StageLoadError, match="two bases"):
@@ -134,17 +128,35 @@ def test_override_validation_errors():
     # values of the right type but out of range or unknown
     with pytest.raises(StageLoadError, match="npcs must be >= 0"):
         resolve_config(4, StageOverrides(npcs=-1))
-    with pytest.raises(StageLoadError, match=r"goal must be one of \['navigation'"):
-        resolve_config(1, StageOverrides(goal="nope"))
     with pytest.raises(StageLoadError, match=r"coop_topology must be one of \['none'"):
         resolve_config(5, StageOverrides(coop_topology="bogus"))
     # each value must have its field's type
     for bad in ({"turns": "ten"}, {"agents": True}, {"npcs": 2.0}, {"spawn_jitter_cells": "1"},
-                {"wall_density": "0.1"}, {"wall_density": False}, {"goal": 1},
-                {"coop_topology": ["none"]}):
+                {"wall_density": "0.1"}, {"wall_density": False}, {"coop_topology": ["none"]}):
         with pytest.raises(StageLoadError, match=f"{next(iter(bad))!r} takes"):
             StageOverrides.from_mapping(bad)
     assert StageOverrides.from_mapping({"wall_density": 0, "turns": None}).wall_density == 0
+
+
+def test_goal_is_not_an_override():
+    # the goal sets the reply format, and every combat goal plays the same
+    with pytest.raises(StageLoadError, match=r"unknown stage-config keys: \['goal'\]"):
+        StageOverrides.from_mapping({"goal": "static_coop"})
+
+
+@pytest.mark.parametrize("stage_id", sorted(STAGE_SETTINGS))
+@pytest.mark.parametrize("topology", list(CoopTopology))
+def test_coop_topology_override_must_fit_the_stage(stage_id, topology):
+    # cooperation stages route requests by any topology but none; the
+    # other stages have no cooperation line to route
+    overrides = StageOverrides(coop_topology=topology.value)
+    if (topology is CoopTopology.NONE) == (STAGE_SETTINGS[stage_id].coop_topology
+                                          is CoopTopology.NONE):
+        assert resolve_config(stage_id, overrides).coop_topology is topology
+    else:
+        with pytest.raises(StageLoadError, match="coop_topology") as refused:
+            resolve_config(stage_id, overrides)
+        assert ("--no-coop" in str(refused.value)) == (topology is CoopTopology.NONE)
 
 
 def test_team_assignment_blocks_first_team_first():
