@@ -34,7 +34,7 @@ from pathlib import Path
 import requests
 import urllib3
 
-from .engine import base_objective, probe_ahead
+from .engine import ALL_ACTIONS, base_objective, probe_ahead
 from .parsing import NO_COOP, Action, format_reply
 from .stages import derive_seed, is_navigation
 from .types import MOVE_DIRECTIONS, Orientation, Tank, WorldState
@@ -46,8 +46,6 @@ DEFAULT_TEMPERATURE = 0.2
 DEFAULT_MAX_TOKENS = 512
 DEFAULT_TIMEOUT = 60.0  # seconds per decision, all attempts and sleeps included
 DEFAULT_RETRIES = 3
-
-ALL_ACTIONS = tuple(Action)
 
 
 class AgentError(Exception):

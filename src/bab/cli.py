@@ -83,18 +83,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _resolve_seeds(args: argparse.Namespace) -> list[int]:
+    """The run's seeds; each must fit the signed 64-bit field that the
+    world hash packs it into."""
     if args.seeds is not None:
-        seeds = [
-            int(line)
-            for line in args.seeds.read_text(encoding="utf-8").split()
-            if line.strip()
-        ]
+        seeds = [int(line) for line in args.seeds.read_text(encoding="utf-8").split()]
         if not seeds:
             raise ValueError(f"seed file {args.seeds} is empty")
-        return seeds
-    if args.runs < 1:
+    elif args.runs < 1:
         raise ValueError("--runs must be >= 1")
-    return list(range(args.seed, args.seed + args.runs))
+    else:
+        seeds = list(range(args.seed, args.seed + args.runs))
+    bad = [s for s in seeds if not -2**63 <= s < 2**63]
+    if bad:
+        raise ValueError(f"seeds must lie in [-2**63, 2**63): {bad[0]}")
+    return seeds
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

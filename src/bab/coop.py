@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import logging
 
-from .parsing import CoopKind, ParsedAction
+from .parsing import ParsedAction
 from .types import (
+    CoopCommand,
+    CoopKind,
     CoopMessage,
     CoopTopology,
     Disposition,
@@ -67,7 +69,7 @@ def _event(world: WorldState, kind: str, sender_id: int, **detail) -> dict:
     return {"turn": world.turn, "event": kind, "from": sender_id, **detail}
 
 
-def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
+def _settle_pending(world: WorldState, agent_id: int, coop: CoopCommand) -> list[dict]:
     """Resolve requests the agent has already seen, per its command."""
     accepting = coop.kind in (CoopKind.REQUEST, CoopKind.KEEP)
     events: list[dict] = []
@@ -79,7 +81,7 @@ def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
         ):
             continue
         accepted = accepting and (
-            coop.kind is CoopKind.KEEP or coop.to_id == msg.from_id
+            coop.kind is CoopKind.KEEP or coop.to == msg.from_id
         )
         if accepted:
             msg.disposition = Disposition.ACCEPTED
@@ -91,16 +93,16 @@ def _settle_pending(world: WorldState, agent_id: int, coop) -> list[dict]:
     return events
 
 
-def _route_request(world: WorldState, sender_id: int, coop) -> dict:
-    reason = _drop_reason(world, sender_id, coop.to_id)
+def _route_request(world: WorldState, sender_id: int, coop: CoopCommand) -> dict:
+    reason = _drop_reason(world, sender_id, coop.to)
     if reason is not None:
-        log.debug("dropping coop request %s->%s: %s", sender_id, coop.to_id, reason)
-        return _event(world, "drop", sender_id, to=coop.to_id, message=coop.message,
+        log.debug("dropping coop request %s->%s: %s", sender_id, coop.to, reason)
+        return _event(world, "drop", sender_id, to=coop.to, message=coop.message,
                       reason=reason)
     world.coop_history.append(
-        CoopMessage(turn=world.turn, from_id=sender_id, to_id=coop.to_id, body=coop.message)
+        CoopMessage(turn=world.turn, from_id=sender_id, to_id=coop.to, body=coop.message)
     )
-    return _event(world, "request", sender_id, to=coop.to_id, message=coop.message)
+    return _event(world, "request", sender_id, to=coop.to, message=coop.message)
 
 
 def _drop_reason(world: WorldState, sender_id: int, to_id: int | None) -> str | None:

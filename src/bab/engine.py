@@ -36,10 +36,9 @@ from .types import (
     EngineError,
     Goal,
     MOVE_DIRECTIONS,
-    MoveOutcome,
     Orientation,
+    Outcome,
     Pos,
-    ShootOutcome,
     Tank,
     TankKind,
     TurnRecord,
@@ -49,16 +48,10 @@ from .types import (
 from .coop import route_coop
 from .parsing import ParsedAction, parse_response
 
-NPC_ACTIONS = (
-    Action.MOVE_UP,
-    Action.MOVE_DOWN,
-    Action.MOVE_LEFT,
-    Action.MOVE_RIGHT,
-    Action.SHOOT,
-)
+ALL_ACTIONS = tuple(Action)
 
 
-def apply_move(world: WorldState, entity_id: int, direction: Orientation) -> MoveOutcome:
+def apply_move(world: WorldState, entity_id: int, direction: Orientation) -> Outcome:
     """Rotate the tank to `direction` and advance one 32-px step if the
     target footprint is free; report the blocker otherwise."""
     if not world.running:
@@ -67,9 +60,9 @@ def apply_move(world: WorldState, entity_id: int, direction: Orientation) -> Mov
     tank.facing = direction
     pos, blocker, _ = _step_ahead(world, tank, direction)
     if blocker is not None:
-        return MoveOutcome(False, blocker)
+        return Outcome("blocked", blocker=blocker)
     tank.pos = pos
-    return MoveOutcome(True)
+    return Outcome("moved")
 
 
 def _step_ahead(world: WorldState, tank: Tank, direction: Orientation):
@@ -90,13 +83,17 @@ def _step_ahead(world: WorldState, tank: Tank, direction: Orientation):
     return pos, (Blocker.BASE if base is not None else None), base
 
 
-def apply_shoot(world: WorldState, shooter_id: int) -> ShootOutcome:
+def apply_shoot(world: WorldState, shooter_id: int) -> Outcome:
     """Fire a hitscan ray along the shooter's facing.
 
-    The first obstruction takes the hit: a wall cell is removed, a tank
-    loses one health (and leaves the grid at zero), a blocking base is
-    destroyed. Agent shooters score 1 for hitting a non-teammate tank
-    and 5 for an enemy base; friendly fire damages but never scores.
+    The first obstruction takes the hit: a wall cell is removed
+    (``hit_wall`` with its ``cell``), a tank loses one health and leaves
+    the grid at zero (``hit_tank`` with its ``target`` id and whether it
+    was ``destroyed``), a blocking base is destroyed (``hit_base`` with
+    its ``target`` id); ``no_hit`` when the ray leaves the map. Agent
+    shooters score 1 for hitting a non-teammate tank and 5 for an enemy
+    base, added to the shooter's score; friendly fire damages but never
+    scores.
     """
     if not world.running:
         raise EngineError("world has ended")
@@ -109,7 +106,7 @@ def apply_shoot(world: WorldState, shooter_id: int) -> ShootOutcome:
         cell = world.walls.cell_at(px, py)
         if cell is not None:
             world.walls.remove(*cell)
-            return ShootOutcome("hit_wall", cell=(cell[0] * WALL_SIZE, cell[1] * WALL_SIZE))
+            return Outcome("hit_wall", cell=Pos(cell[0] * WALL_SIZE, cell[1] * WALL_SIZE))
         if k == hit_k:
             if isinstance(target, Tank):
                 return _resolve_tank_hit(world, shooter, target)
@@ -117,7 +114,7 @@ def apply_shoot(world: WorldState, shooter_id: int) -> ShootOutcome:
         px += dx * WALL_SIZE
         py += dy * WALL_SIZE
         k += 1
-    return ShootOutcome("no_hit")
+    return Outcome("no_hit")
 
 
 def _ray_start(shooter: Tank) -> tuple[int, int]:
@@ -158,27 +155,22 @@ def _first_footprint(world: WorldState, shooter: Tank, px: int, py: int, dx: int
     return best_k, best
 
 
-def _resolve_tank_hit(world: WorldState, shooter: Tank, target: Tank) -> ShootOutcome:
+def _resolve_tank_hit(world: WorldState, shooter: Tank, target: Tank) -> Outcome:
     target.health -= 1
-    destroyed = target.health == 0
-    score = 0
     if shooter.kind is TankKind.AGENT and not _same_team(shooter, target):
-        score = TANK_HIT_SCORE
-        shooter.score += score
-    return ShootOutcome("hit_tank", target_id=target.id, destroyed=destroyed, score=score)
+        shooter.score += TANK_HIT_SCORE
+    return Outcome("hit_tank", target=target.id, destroyed=target.health == 0)
 
 
-def _resolve_base_hit(world: WorldState, shooter: Tank, base) -> ShootOutcome:
+def _resolve_base_hit(world: WorldState, shooter: Tank, base) -> Outcome:
     base.destroyed = True
-    score = 0
     if shooter.kind is TankKind.AGENT and base.team != shooter.team:
-        score = BASE_HIT_SCORE
-        shooter.score += score
+        shooter.score += BASE_HIT_SCORE
     # a team falls with its base: surviving tanks leave the grid
     for t in world.tanks.values():
         if t.alive and t.team == base.team:
             t.health = 0
-    return ShootOutcome("hit_base", target_id=base.id, score=score)
+    return Outcome("hit_base", target=base.id)
 
 
 def _same_team(a: Tank, b: Tank) -> bool:
@@ -190,7 +182,7 @@ def npc_policy(world: WorldState, npc_id: int) -> Action:
     tank = world.require_tank(npc_id)
     if tank.kind is not TankKind.NPC:
         raise EngineError(f"tank {npc_id} is not an NPC")
-    return world.rng_npc.choice(NPC_ACTIONS)
+    return world.rng_npc.choice(ALL_ACTIONS)
 
 
 def play_turn(world: WorldState, replies: dict[int, str],
@@ -230,9 +222,9 @@ def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnR
         parsed = actions[agent.id]
         score0 = agent.score
         if not agent.alive:
-            outcome = {"result": "noop", "reason": "dead"}
+            outcome = Outcome("noop", reason="dead")
         elif not parsed.format_ok or parsed.action is None:
-            outcome = {"result": "noop", "reason": "invalid_format"}
+            outcome = Outcome("noop", reason="invalid_format")
         else:
             outcome = _apply_action(world, agent.id, parsed.action)
         records.append(
@@ -242,9 +234,9 @@ def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnR
                 pos_before=pos_before[agent.id],
                 pos_after=agent.pos,
                 facing=agent.facing,
-                action=parsed.action.value if parsed.action else None,
+                action=parsed.action,
                 target=parsed.target_id,
-                coop=parsed.coop_dict(),
+                coop=parsed.coop,
                 format_ok=parsed.format_ok,
                 outcome=outcome,
                 score_delta=agent.score - score0,
@@ -275,11 +267,10 @@ def step_turn(world: WorldState, actions: dict[int, ParsedAction]) -> list[TurnR
     return records
 
 
-def _apply_action(world: WorldState, entity_id: int, action: Action) -> dict:
+def _apply_action(world: WorldState, entity_id: int, action: Action) -> Outcome:
     if action is Action.SHOOT:
-        return apply_shoot(world, entity_id).to_dict()
-    direction = MOVE_DIRECTIONS[action]
-    return apply_move(world, entity_id, direction).to_dict()
+        return apply_shoot(world, entity_id)
+    return apply_move(world, entity_id, MOVE_DIRECTIONS[action])
 
 
 def _objective_for(world: WorldState, agent: Tank, parsed: ParsedAction) -> Pos | None:

@@ -52,7 +52,7 @@ def move_accuracy(records: list[TurnRecord], denominator: str = "moves") -> floa
         if not r.format_ok:
             continue
         formatted += 1
-        if r.action is None or r.action == Action.SHOOT.value or r.objective is None:
+        if r.action is None or r.action is Action.SHOOT or r.objective is None:
             continue
         moves += 1
         if _move_is_correct(r):
@@ -64,7 +64,7 @@ def move_accuracy(records: list[TurnRecord], denominator: str = "moves") -> floa
 
 
 def _move_is_correct(r: TurnRecord) -> bool:
-    dx, dy = MOVE_DIRECTIONS[Action(r.action)].delta
+    dx, dy = MOVE_DIRECTIONS[r.action].delta
     before = r.pos_before
     after = Pos(before.x + dx * MOVE_STEP, before.y + dy * MOVE_STEP)
     return after.l1(r.objective) < before.l1(r.objective)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 
 from .stages import coop_format, is_navigation
-from .types import Action
+from .types import Action, CoopCommand, CoopKind
 
 # which markers a stage uses, and whether it needs a target clause, follows
 # from its default config (stages.coop_format, stages.is_navigation):
@@ -25,32 +24,17 @@ OP_MARKERS = ("#Operation:", "#操作:")
 ATTACK_MARKERS = ("#Attack operation:", "#攻击操作:")
 COOP_MARKERS = ("#Cooperation operation:", "#协作操作:")
 
-_TOKEN_RE = re.compile(r"#(?:Move_up|Move_down|Move_left|Move_right|Shoot)#")
+_TOKEN_RE = re.compile("|".join(re.escape(a.value) for a in Action))
 _TARGET_RE = re.compile(r"Target\s*(\d+)\s*[:：]")
 _REQUEST_RE = re.compile(r"#Request_coop#\D*?(\d+)\D*?[:：]\s*(.*)", re.S)
 
 
-class CoopKind(str, Enum):
-    REQUEST = "request_coop"
-    KEEP = "keep_coop"
-    STOP = "stop_coop"
-    NO = "no_coop"
-
-
-@dataclass(frozen=True)
-class CoopCommand:
-    kind: CoopKind
-    to_id: int | None = None
-    message: str = ""
-
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind.value}
-        if self.to_id is not None:
-            d["to"] = self.to_id
-        if self.message:
-            d["message"] = self.message
-        return d
-
+# the answer tokens, in the order a segment is searched for them
+_ANSWER_TOKENS = {
+    CoopKind.KEEP: "#Keep_coop#",
+    CoopKind.STOP: "#Stop_coop#",
+    CoopKind.NO: "#No_coop#",
+}
 
 NO_COOP = CoopCommand(CoopKind.NO)
 
@@ -64,9 +48,6 @@ class ParsedAction:
     coop: CoopCommand | None
     format_ok: bool
     raw: str = ""
-
-    def coop_dict(self) -> dict | None:
-        return self.coop.to_dict() if self.coop else None
 
 
 def parse_response(stage_id: int, raw: str) -> ParsedAction:
@@ -125,11 +106,7 @@ def _parse_coop(raw: str) -> CoopCommand | None:
         if m is None:
             return None  # request without a parseable recipient
         return CoopCommand(CoopKind.REQUEST, int(m.group(1)), m.group(2).strip())
-    for token, kind in (
-        ("#Keep_coop#", CoopKind.KEEP),
-        ("#Stop_coop#", CoopKind.STOP),
-        ("#No_coop#", CoopKind.NO),
-    ):
+    for kind, token in _ANSWER_TOKENS.items():
         if token in segment:
             return CoopCommand(kind)
     return None
@@ -157,9 +134,5 @@ def format_reply(
 
 def _format_coop(coop: CoopCommand) -> str:
     if coop.kind is CoopKind.REQUEST:
-        return f"#Request_coop# {coop.to_id}: {coop.message}"
-    return {
-        CoopKind.KEEP: "#Keep_coop#",
-        CoopKind.STOP: "#Stop_coop#",
-        CoopKind.NO: "#No_coop#",
-    }[coop.kind]
+        return f"#Request_coop# {coop.to}: {coop.message}"
+    return _ANSWER_TOKENS[coop.kind]

@@ -33,7 +33,6 @@ from .types import (
     TANK_SIZE,
     WALL_LATTICE,
     WALL_SIZE,
-    Action,
     Base,
     Goal,
     Tank,
@@ -261,7 +260,7 @@ def _last_op_value(navigation: bool, locale: str, record: TurnRecord | None) -> 
     p = _PHRASES[locale]
     if record is None:
         return p["none"]
-    op = record.action if record.format_ok and record.action else p["invalid"]
+    op = record.action.value if record.format_ok and record.action else p["invalid"]
     if navigation:
         return f"{op} - {feedback_text(record, locale)}"
     return op
@@ -273,11 +272,10 @@ def feedback_text(record: TurnRecord | None, locale: str) -> str:
     if record is None:
         return p["none"]
     outcome = record.outcome
-    result = outcome.get("result")
-    if result == "hit_tank" and outcome.get("destroyed"):
-        result = "destroyed"
-    fields = dict(outcome)
+    result = "destroyed" if outcome.destroyed else outcome.result
+    fields = vars(outcome)
     if result in ("moved", "blocked"):
-        fields["facing"] = p[MOVE_DIRECTIONS[Action(record.action)].value]
-        fields["blocker"] = p.get(outcome.get("blocker"))
+        fields = {**fields, "facing": p[MOVE_DIRECTIONS[record.action].value]}
+        if outcome.blocker is not None:
+            fields["blocker"] = p[outcome.blocker.value]
     return p.get(f"fb_{result}", p["fb_noop"]).format(**fields)

@@ -5,9 +5,13 @@ is a ``HeaderRecord``, each ``turn`` line (one per live agent per turn) a
 ``TurnRecord`` and the final ``end`` line an ``EndRecord``: each is its
 record's ``to_dict()``, keyed by the field names, and ``read_log`` reads
 it back with ``types.decode``, which checks every value against its
-field's annotation. ``coop`` lines, routed cooperation events, stay
-dicts, since their ``from`` key cannot be a field name; only their
-integer ``turn`` is checked. Lines are flushed as they are written, so a
+field's annotation. The values nested in a turn line are typed too: its
+``action`` is an ``Action``, and its ``coop`` and ``outcome`` are a
+``CoopCommand`` and an ``Outcome``, records written by ``types.encode``
+as the fields that differ from their defaults and read back by the same
+``decode``. ``coop`` lines, routed cooperation events, stay dicts, since
+their ``from`` key cannot be a field name; only their integer ``turn``
+is checked. Lines are flushed as they are written, so a
 crash loses at most the turn in flight, and any prefix cut at a line
 boundary is still parseable and verifiable up to its last complete turn.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from types import UnionType
@@ -261,34 +261,46 @@ class CoopMessage:
     disposition: Disposition = Disposition.PENDING
 
 
+class CoopKind(str, Enum):
+    REQUEST = "request_coop"
+    KEEP = "keep_coop"
+    STOP = "stop_coop"
+    NO = "no_coop"
+
+
 @dataclass(frozen=True)
-class MoveOutcome:
-    moved: bool
+class CoopCommand:
+    """One reply's cooperation command; the field names are its log keys."""
+
+    kind: CoopKind
+    to: int | None = None
+    message: str = ""
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """How one action resolved; the field names are its log keys, and a
+    field left at its default is left out of the log.
+
+    ``result`` is ``moved``, ``blocked`` (with its ``blocker``),
+    ``hit_wall`` (with the wall ``cell``'s pixel origin), ``hit_tank``
+    (with the ``target`` id and whether it was ``destroyed``),
+    ``hit_base`` (with the ``target`` id), ``no_hit``, or ``noop`` (with
+    its ``reason``: ``dead`` or ``invalid_format``)."""
+
+    result: str
     blocker: Blocker | None = None
+    cell: Pos | None = None
+    target: int | None = None
+    destroyed: bool | None = None
+    reason: str | None = None
 
-    def to_dict(self) -> dict:
-        if self.moved:
-            return {"result": "moved"}
-        return {"result": "blocked", "blocker": self.blocker.value}
 
-
-@dataclass(frozen=True)
-class ShootOutcome:
-    result: str  # hit_wall | hit_tank | hit_base | no_hit
-    cell: tuple[int, int] | None = None  # wall-cell pixel origin
-    target_id: int | None = None
-    destroyed: bool = False
-    score: int = 0
-
-    def to_dict(self) -> dict:
-        d: dict = {"result": self.result}
-        if self.cell is not None:
-            d["cell"] = list(self.cell)
-        if self.target_id is not None:
-            d["target"] = self.target_id
-        if self.result == "hit_tank":
-            d["destroyed"] = self.destroyed
-        return d
+def encode(record) -> dict:
+    """The JSON object of a record nested in a log line: each field that
+    differs from its default, keyed by the field name."""
+    return {f.name: value for f in fields(record)
+            if (value := getattr(record, f.name)) != f.default}
 
 
 @dataclass
@@ -303,11 +315,11 @@ class TurnRecord:
     pos_before: Pos
     pos_after: Pos
     facing: Orientation
-    action: str | None
+    action: Action | None
     target: int | None
-    coop: dict | None
+    coop: CoopCommand | None
     format_ok: bool
-    outcome: dict
+    outcome: Outcome
     score_delta: int
     objective: Pos | None
     alive_after: bool
@@ -318,8 +330,9 @@ class TurnRecord:
     latency_ms: float = 0.0
 
     def to_dict(self) -> dict:
-        # json writes Pos as a list and the str-enum facing as its value
-        return {"kind": "turn", **vars(self)}
+        # json writes Pos as a list and a str enum as its value
+        coop = None if self.coop is None else encode(self.coop)
+        return {"kind": "turn", **vars(self), "coop": coop, "outcome": encode(self.outcome)}
 
 
 @dataclass
@@ -516,6 +529,8 @@ def decode(cls, data: dict):
         if name in data:
             try:
                 values[name] = convert(data[name])
+            except DecodeError as exc:  # from a nested record
+                raise DecodeError(f"{name!r}: {exc}") from None
             except (TypeError, ValueError, KeyError, AttributeError):
                 raise DecodeError(f"{name!r} takes {expected}, not {data[name]!r}") from None
     if len(values) < len(data):
@@ -536,7 +551,8 @@ def _converter(hint) -> tuple:
     field value for a JSON value or raises TypeError, ValueError, KeyError
     or AttributeError. A plain type takes exactly itself, so a bool is no
     int, but a float takes an int, kept as it is so that it re-encodes to
-    the same text. ``dict[int, V]`` is keyed by ``str(id)``."""
+    the same text. ``dict[int, V]`` is keyed by ``str(id)``, and a record
+    takes an object that ``decode`` reads."""
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType):  # X | None
         convert, expected = _converter(args[0])
@@ -549,6 +565,9 @@ def _converter(hint) -> tuple:
         return (lambda v: {_id(k): item(x) for k, x in v.items()}), f"an object of id: {expected}"
     if hint is Pos:
         return _pos, "[x, y]"
+    if is_dataclass(hint):
+        as_dict = _exactly(dict)
+        return (lambda v: decode(hint, as_dict(v))), f"an object of {hint.__name__} fields"
     if issubclass(hint, Enum):
         return {m.value: m for m in hint}.__getitem__, f"one of {[m.value for m in hint]}"
     kinds, expected = _KINDS[hint]

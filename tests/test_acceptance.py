@@ -19,7 +19,7 @@ from bab.coop import route_coop
 from bab.engine import apply_shoot, step_turn
 from bab.parsing import CoopCommand, CoopKind, NO_COOP, parse_response
 from bab.prompts import render_observation
-from bab.replay import metrics_from_log, read_log, replay_verify
+from bab.replay import ReplayError, metrics_from_log, read_log, replay_verify
 from bab.runner import RunConfig, run_benchmark, run_episode
 from bab.stages import StageOverrides, load_stage
 from bab.types import Action, Pos
@@ -179,7 +179,10 @@ def test_criterion_5_determinism_and_verify(tmp_path):
     assert mutated, "no mutable action found"
     tampered = tmp_path / "tampered.jsonl"
     tampered.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tamper_fails = not replay_verify(tampered).ok
+    try:  # read_log refuses the unknown action; a log that decodes must diverge
+        tamper_fails = not replay_verify(tampered).ok
+    except ReplayError:
+        tamper_fails = True
 
     ok = identical and verified and tamper_fails
     _report(
@@ -399,8 +402,8 @@ def test_criterion_8_shooting_oracle():
         out = apply_shoot(world, shooter.id)
         got = {
             "hit_wall": ("wall", out.cell),
-            "hit_tank": ("tank", out.target_id),
-            "hit_base": ("base", out.target_id),
+            "hit_tank": ("tank", out.target),
+            "hit_base": ("base", out.target),
             "no_hit": ("none", None),
         }[out.result]
         if got != expected:

@@ -83,6 +83,23 @@ def test_seed_file_sets_run_count(tmp_path):
     }
 
 
+def test_seed_outside_signed_64_bits_is_a_config_error(tmp_path, capsys):
+    # the world hash packs the seed as a signed 64-bit integer
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text(f"3\n{-2**63 - 1}\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    for source in (("--seed", str(2**63)), ("--seed", str(2**63 - 1), "--runs", "2"),
+                   ("--seeds", str(seeds))):
+        assert run_cli("run", "--stage", "1", *source, "--primary-model", "random",
+                       "--out", str(out_dir)) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not out_dir.exists()  # no episode ran
+    for seed in (-2**63, 2**63 - 1):  # the ends of the range run and verify
+        assert run_cli("run", "--stage", "1", "--seed", str(seed), "--runs", "1",
+                       "--primary-model", "random", "--out", str(out_dir)) == EXIT_OK
+        assert run_cli("verify", str(out_dir / f"stage1_random_seed{seed}.jsonl")) == EXIT_OK
+
+
 def test_no_coop_flag_recorded(tmp_path):
     out_dir = tmp_path / "out"
     run_cli("run", "--stage", "5", "--seed", "1", "--runs", "1",
@@ -318,6 +335,11 @@ TAMPERS = {
     "log-end-before-turns": ("log", lambda lines: [lines[0], lines[-1], *lines[1:-1]]),
     "log-header-twice": ("log", lambda lines: [*lines, lines[0]]),
     "log-line-after-end": ("log", lambda lines: [*lines[:-2], lines[-1], lines[-2]]),
+    # a value nested in a turn line
+    "turn-action-unknown": ("turn", _set("action", "#Fly#")),
+    "turn-outcome-unknown-key": ("turn", lambda turn: turn["outcome"].update(bonus=5)),
+    "turn-outcome-result-int": ("turn", lambda turn: turn["outcome"].update(result=1)),
+    "turn-coop-kind-unknown": ("turn", _set("coop", {"kind": "maybe_coop"})),
 }
 
 

@@ -25,8 +25,8 @@ from bab.types import (
     EngineError,
     Goal,
     Orientation,
+    Outcome,
     Pos,
-    ShootOutcome,
     TankKind,
     UnknownEntityError,
     WallGrid,
@@ -48,7 +48,7 @@ def parsed(action: Action, target: int | None = None) -> ParsedAction:
 def test_move_steps_one_tank_length_and_rotates():
     w = make_world([agent(1, 128, 128, facing=Orientation.UP)])
     out = apply_move(w, 1, Orientation.RIGHT)
-    assert out.moved
+    assert out.result == "moved"
     assert w.tanks[1].pos == Pos(160, 128)
     assert w.tanks[1].facing is Orientation.RIGHT
 
@@ -56,8 +56,7 @@ def test_move_steps_one_tank_length_and_rotates():
 def test_move_blocked_by_boundary_keeps_position():
     w = make_world([agent(1, 0, 128)])
     out = apply_move(w, 1, Orientation.LEFT)
-    assert not out.moved
-    assert out.blocker is Blocker.BOUNDARY
+    assert out == Outcome("blocked", blocker=Blocker.BOUNDARY)
     assert w.tanks[1].pos == Pos(0, 128)
     assert w.tanks[1].facing is Orientation.LEFT  # blocked moves still rotate
 
@@ -65,7 +64,7 @@ def test_move_blocked_by_boundary_keeps_position():
 def test_move_blocked_by_wall_cell():
     w = make_world([agent(1, 128, 128)], walls=wall_cells_for_rect(160, 128))
     out = apply_move(w, 1, Orientation.RIGHT)
-    assert (not out.moved) and out.blocker is Blocker.WALL
+    assert out == Outcome("blocked", blocker=Blocker.WALL)
     assert w.tanks[1].pos == Pos(128, 128)
 
 
@@ -84,7 +83,7 @@ def test_move_onto_non_solid_goal_base_allowed():
         [base(101, 160, 128, solid=False)],
         goal=Goal.NAVIGATION, n_bases=1, n_teams=1, n_agents=1,
     )
-    assert apply_move(w, 1, Orientation.RIGHT).moved
+    assert apply_move(w, 1, Orientation.RIGHT).result == "moved"
     assert w.tanks[1].pos == Pos(160, 128)
 
 
@@ -106,7 +105,7 @@ def test_shoot_destroys_npc_ahead_and_scores_one():
     w = make_world([agent(1, 128, 256, facing=Orientation.UP), npc(2, 128, 160)])
     out = apply_shoot(w, 1)
     assert out.result == "hit_tank"
-    assert out.target_id == 2 and out.destroyed
+    assert out.target == 2 and out.destroyed
     assert w.tanks[1].score == 1
     assert not w.tanks[2].alive
 
@@ -117,7 +116,7 @@ def test_shoot_enemy_base_scores_five_and_eliminates_team():
         [base(101, 448, 64, team=1), base(102, 64, 448, team=0)],
     )
     out = apply_shoot(w, 1)
-    assert out.result == "hit_base" and out.target_id == 101
+    assert out.result == "hit_base" and out.target == 101
     assert w.tanks[1].score == 5
     assert w.bases[101].destroyed
     assert not w.tanks[2].alive  # team 1 falls with its base
@@ -146,7 +145,7 @@ def test_friendly_fire_damages_without_scoring():
         [base(101, 320, 64, team=0), base(102, 64, 448, team=1)],
     )
     out = apply_shoot(w, 1)
-    assert out.result == "hit_tank" and out.target_id == 2
+    assert out.result == "hit_tank" and out.target == 2
     assert w.tanks[2].health == 4
     assert w.tanks[1].score == 0
     # own base: damage, no score, own team eliminated
@@ -155,14 +154,14 @@ def test_friendly_fire_damages_without_scoring():
         [base(101, 320, 64, team=0), base(102, 64, 448, team=1)],
     )
     out2 = apply_shoot(w2, 1)
-    assert out2.result == "hit_base" and out2.score == 0
+    assert out2.result == "hit_base" and w2.tanks[1].score == 0
     assert w2.bases[101].destroyed and not w2.tanks[1].alive
 
 
 def test_npc_shooter_never_scores():
     w = make_world([npc(5, 128, 256, facing=Orientation.UP), agent(1, 128, 128)])
     out = apply_shoot(w, 5)
-    assert out.result == "hit_tank" and out.score == 0
+    assert out.result == "hit_tank"
     assert w.tanks[5].score == 0
     assert w.tanks[1].health == 4
 
@@ -279,8 +278,8 @@ def test_shoot_matches_brute_force_oracle(seed):
         out = apply_shoot(w, shooter.id)
         got = {
             "hit_wall": ("wall", out.cell),
-            "hit_tank": ("tank", out.target_id),
-            "hit_base": ("base", out.target_id),
+            "hit_tank": ("tank", out.target),
+            "hit_base": ("base", out.target),
             "no_hit": ("none", None),
         }[out.result]
         assert got == expected
@@ -301,7 +300,7 @@ def marched_shot(world, shooter_id):
         cell = world.walls.cell_at(px, py)
         if cell is not None:
             world.walls.remove(*cell)
-            return ShootOutcome("hit_wall", cell=(cell[0] * 8, cell[1] * 8))
+            return Outcome("hit_wall", cell=Pos(cell[0] * 8, cell[1] * 8))
         target = first_overlapping(world.tanks.values(), px, py, 1, 1,
                                    lambda t: t.alive and t.id != shooter_id)
         if target is not None:
@@ -311,12 +310,12 @@ def marched_shot(world, shooter_id):
             return _resolve_base_hit(world, shooter, base)
         px += dx * 8
         py += dy * 8
-    return ShootOutcome("no_hit")
+    return Outcome("no_hit")
 
 
 def shot_effects(world, shoot, shooter_id):
-    """Fire once, then undo the shot. Returns the outcome, its score, the
-    removed wall cells, every tank's health and score, every base's
+    """Fire once, then undo the shot. Returns the outcome, the removed
+    wall cells, every tank's health and score, every base's
     state, and the wall-cell probes, in order."""
     walls = world.walls
     cells = set(walls.cells)
@@ -329,12 +328,12 @@ def shot_effects(world, shoot, shooter_id):
     finally:
         del walls.cell_at
     effects = (
-        out.to_dict(), out.score, cells - world.walls.cells,
+        out, cells - world.walls.cells,
         {t.id: (t.health, t.score) for t in world.tanks.values()},
         {b.id: b.destroyed for b in world.bases.values()},
         probes,
     )
-    for cell in effects[2]:
+    for cell in effects[1]:
         walls.add(*cell)
     for t in world.tanks.values():
         t.health, t.score = tanks[t.id]
@@ -458,8 +457,8 @@ def test_step_turn_resolves_in_id_order():
         1: parsed(Action.MOVE_RIGHT),
         2: parsed(Action.MOVE_LEFT),
     })
-    assert records[0].outcome == {"result": "moved"}
-    assert records[1].outcome == {"result": "blocked", "blocker": "tank"}
+    assert records[0].outcome == Outcome("moved")
+    assert records[1].outcome == Outcome("blocked", blocker=Blocker.TANK)
     assert w.tanks[1].pos == Pos(160, 128)
     assert w.tanks[2].pos == Pos(192, 128)
     assert w.turn == 1
@@ -472,7 +471,7 @@ def test_step_turn_invalid_action_is_noop():
         n_agents=1,
     )
     records = step_turn(w, {1: parse_response(4, "I think we should flank.")})
-    assert records[0].outcome == {"result": "noop", "reason": "invalid_format"}
+    assert records[0].outcome == Outcome("noop", reason="invalid_format")
     assert not records[0].format_ok
     assert w.tanks[1].pos == Pos(128, 128)
 
@@ -621,9 +620,9 @@ def test_fuzzed_episode_invariants(seed):
             assert t.score >= score_before[t.id]
         # score deltas decompose into 1-point tank hits and 5-point base hits
         tank_hits = sum(1 for r in records
-                        if r.outcome.get("result") == "hit_tank" and r.score_delta)
+                        if r.outcome.result == "hit_tank" and r.score_delta)
         base_hits = sum(1 for r in records
-                        if r.outcome.get("result") == "hit_base" and r.score_delta)
+                        if r.outcome.result == "hit_base" and r.score_delta)
         assert sum(r.score_delta for r in records) == tank_hits + 5 * base_hits
         assert overlapping_pairs(w) == []
     assert w.turn <= w.config.turn_cap
@@ -640,7 +639,7 @@ def test_score_delta_decomposition():
         }
         for r in step_turn(w, actions):
             if r.score_delta:
-                kind = r.outcome["result"]
+                kind = r.outcome.result
                 assert (kind == "hit_tank" and r.score_delta == 1) or (
                     kind == "hit_base" and r.score_delta == 5
                 )

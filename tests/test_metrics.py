@@ -20,12 +20,11 @@ from bab.metrics import (
     summary_table,
 )
 from bab.parsing import parse_response
-from bab.types import Action, Orientation, Pos, TurnRecord
+from bab.types import Action, Orientation, Outcome, Pos, TurnRecord
 
 
 def record(turn, agent_id=1, action=None, format_ok=True, pos=(256, 256),
            objective=(256, 64), score_delta=0, outcome=None):
-    token = action.value if isinstance(action, Action) else action
     pos = Pos(*pos)
     return TurnRecord(
         turn=turn,
@@ -33,11 +32,11 @@ def record(turn, agent_id=1, action=None, format_ok=True, pos=(256, 256),
         pos_before=pos,
         pos_after=pos,
         facing=Orientation.UP,
-        action=token,
+        action=action,
         target=None,
         coop=None,
         format_ok=format_ok,
-        outcome=outcome or {"result": "noop"},
+        outcome=outcome or Outcome("noop"),
         score_delta=score_delta,
         objective=Pos(*objective) if objective else None,
         alive_after=True,
@@ -156,9 +155,8 @@ def test_move_accuracy_judged_at_decision_position():
 
 def test_episode_score_npc_kill_plus_base():
     recs = [
-        record(0, score_delta=1, outcome={"result": "hit_tank", "target": 9,
-                                          "destroyed": True}),
-        record(1, score_delta=5, outcome={"result": "hit_base", "target": 102}),
+        record(0, score_delta=1, outcome=Outcome("hit_tank", target=9, destroyed=True)),
+        record(1, score_delta=5, outcome=Outcome("hit_base", target=102)),
         record(2),
     ]
     assert episode_score(recs, [1]) == 6
@@ -238,7 +236,7 @@ def test_compute_episode_rolls_up_primary_team():
     records = [
         record(0, agent_id=1, action=Action.MOVE_UP, pos=(256, 256)),
         record(0, agent_id=2, action=Action.SHOOT, score_delta=1,
-               outcome={"result": "hit_tank", "target": 9, "destroyed": True}),
+               outcome=Outcome("hit_tank", target=9, destroyed=True)),
         record(1, agent_id=1, action=Action.MOVE_UP, pos=(256, 224)),
         record(1, agent_id=2, format_ok=False),
     ]

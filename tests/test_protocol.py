@@ -29,7 +29,17 @@ from bab.prompts import (
     render_observation,
 )
 from bab.stages import load_stage
-from bab.types import Action, Disposition, Goal, Orientation, Pos, TurnRecord, WallGrid
+from bab.types import (
+    Action,
+    Blocker,
+    Disposition,
+    Goal,
+    Orientation,
+    Outcome,
+    Pos,
+    TurnRecord,
+    WallGrid,
+)
 
 from conftest import agent, base, make_world
 
@@ -136,17 +146,17 @@ def test_last_feedback_rendered():
 # every feedback branch as (action, outcome); pinned per locale below
 FEEDBACK_CASES = {
     "none": None,
-    "moved": ("#Move_left#", {"result": "moved"}),
-    "blocked_wall": ("#Move_up#", {"result": "blocked", "blocker": "wall"}),
-    "blocked_tank": ("#Move_down#", {"result": "blocked", "blocker": "tank"}),
-    "blocked_base": ("#Move_left#", {"result": "blocked", "blocker": "base"}),
-    "blocked_boundary": ("#Move_right#", {"result": "blocked", "blocker": "boundary"}),
-    "hit_wall": ("#Shoot#", {"result": "hit_wall", "cell": [40, 96]}),
-    "hit_tank": ("#Shoot#", {"result": "hit_tank", "target": 7, "destroyed": False}),
-    "destroyed": ("#Shoot#", {"result": "hit_tank", "target": 7, "destroyed": True}),
-    "hit_base": ("#Shoot#", {"result": "hit_base", "target": 102}),
-    "no_hit": ("#Shoot#", {"result": "no_hit"}),
-    "noop": (None, {"result": "noop", "reason": "invalid_format"}),
+    "moved": (Action.MOVE_LEFT, Outcome("moved")),
+    "blocked_wall": (Action.MOVE_UP, Outcome("blocked", blocker=Blocker.WALL)),
+    "blocked_tank": (Action.MOVE_DOWN, Outcome("blocked", blocker=Blocker.TANK)),
+    "blocked_base": (Action.MOVE_LEFT, Outcome("blocked", blocker=Blocker.BASE)),
+    "blocked_boundary": (Action.MOVE_RIGHT, Outcome("blocked", blocker=Blocker.BOUNDARY)),
+    "hit_wall": (Action.SHOOT, Outcome("hit_wall", cell=Pos(40, 96))),
+    "hit_tank": (Action.SHOOT, Outcome("hit_tank", target=7, destroyed=False)),
+    "destroyed": (Action.SHOOT, Outcome("hit_tank", target=7, destroyed=True)),
+    "hit_base": (Action.SHOOT, Outcome("hit_base", target=102)),
+    "no_hit": (Action.SHOOT, Outcome("no_hit")),
+    "noop": (None, Outcome("noop", reason="invalid_format")),
 }
 # what sits one move ahead of agent 1 at (200, 200) facing up
 AHEAD_CASES = {
@@ -198,7 +208,7 @@ PHRASE_PINS = {
 }
 
 
-def feedback_record(action: str | None, outcome: dict) -> TurnRecord:
+def feedback_record(action: Action | None, outcome: Outcome) -> TurnRecord:
     return TurnRecord(turn=0, agent=1, pos_before=Pos(200, 200), pos_after=Pos(200, 200),
                       facing=Orientation.UP, action=action, target=None, coop=None,
                       format_ok=action is not None, outcome=outcome, score_delta=0,
@@ -375,7 +385,7 @@ def test_parse_chinese_markers():
 
 
 def test_parse_request_coop_variants():
-    for raw, to_id, msg in [
+    for raw, to, msg in [
         ("#Cooperation operation: #Request_coop# 2: focus tank 9", 2, "focus tank 9"),
         ("#Cooperation operation: #Request_coop# {Teammate tank ID 4}: go left",
          4, "go left"),
@@ -384,7 +394,7 @@ def test_parse_request_coop_variants():
         p = parse_response(5, "#Attack operation: Target 1: #Shoot#\n" + raw)
         assert p.coop is not None, raw
         assert p.coop.kind is CoopKind.REQUEST
-        assert p.coop.to_id == to_id
+        assert p.coop.to == to
         assert p.coop.message == msg
 
 
