@@ -20,7 +20,14 @@ from .agents import AgentError, parse_model_name
 from .metrics import DENOMINATOR_MODES, MetricsError, aggregate, episodes_csv, summary_table
 from .replay import ReplayError, load_world, metrics_from_log, read_log, replay_verify
 from .runner import RunConfig, run_benchmark
-from .stages import OVERRIDE_KEYS, STAGE_SETTINGS, StageLoadError, StageOverrides, resolve_config
+from .stages import (
+    OVERRIDE_KEYS,
+    STAGE_SETTINGS,
+    StageLoadError,
+    StageOverrides,
+    check_seed,
+    resolve_config,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -83,8 +90,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _resolve_seeds(args: argparse.Namespace) -> list[int]:
-    """The run's seeds; each must fit the signed 64-bit field that the
-    world hash packs it into."""
+    """The run's seeds, each checked as ``load_stage`` checks it, so a
+    seed the world hash cannot pack fails before any episode runs."""
     if args.seeds is not None:
         seeds = [int(line) for line in args.seeds.read_text(encoding="utf-8").split()]
         if not seeds:
@@ -93,9 +100,8 @@ def _resolve_seeds(args: argparse.Namespace) -> list[int]:
         raise ValueError("--runs must be >= 1")
     else:
         seeds = list(range(args.seed, args.seed + args.runs))
-    bad = [s for s in seeds if not -2**63 <= s < 2**63]
-    if bad:
-        raise ValueError(f"seeds must lie in [-2**63, 2**63): {bad[0]}")
+    for seed in seeds:
+        check_seed(seed)
     return seeds
 
 

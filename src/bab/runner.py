@@ -15,17 +15,32 @@ at a time. Local backends are asked one after another: they answer in
 microseconds, and handing each of their decisions to the pool cost
 about a third of the local workloads' decisions per second. Either way
 the replies are parsed, routed, resolved and logged in ``live_agents()``
-order, so the log does not depend on which reply came back first. An
-episode that aborts while decisions are in flight (a backend raised
+order, so the log does not depend on which reply came back first.
+
+A suite in which any config binds a remote backend plays its episodes
+concurrently too, on one thread pool of at most ``MAX_EPISODE_WORKERS``
+episodes, each with its own decide pool. So a suite has at most
+``MAX_EPISODE_WORKERS * MAX_DECIDE_WORKERS`` (24) requests in flight.
+Episodes share no state: each has its own seed, world, backends and log
+file, and the suite collects their results in submission order, so its
+outputs do not depend on which episode ended first. A local suite plays
+its episodes one after another: they are CPU-bound, and threads cannot
+run Python code in parallel.
+
+An episode that aborts while decisions are in flight (a backend raised
 something other than ``AgentError``, or the run was interrupted) first
 waits for them; a remote decision ends within about its deadline (see
-``agents.RemotePolicy``).
+``agents.RemotePolicy``). A suite that is interrupted (any
+``BaseException``, raised in an episode or in the caller's thread)
+starts no queued episode, stops each running one at the end of its
+current turn, waits for them, and re-raises.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +56,14 @@ from .types import TurnRecord, WorldState
 log = logging.getLogger(__name__)
 
 MAX_DECIDE_WORKERS = 8
+MAX_EPISODE_WORKERS = 3
+
+# On a suite's episode threads, ``stop`` is the suite's stop event.
+_suite = threading.local()
+
+
+class EpisodeAborted(Exception):
+    """The suite stopped while this episode was queued or running."""
 
 
 @dataclass
@@ -57,6 +80,10 @@ class RunConfig:
     @property
     def model_label(self) -> str:
         return self.primary.label
+
+
+# one episode of a suite: (config, seed, log path)
+_Job = tuple[RunConfig, int, Path]
 
 
 @dataclass
@@ -110,6 +137,9 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
 
     try:
         while world.status is None:
+            stop = getattr(_suite, "stop", None)
+            if stop is not None and stop.is_set():
+                raise EpisodeAborted(f"suite stopped before turn {world.turn}")
             agent_ids = [agent.id for agent in world.live_agents()]
             prompts = [
                 render_observation(
@@ -165,29 +195,43 @@ def run_benchmark(configs: list[RunConfig], out_dir: str | Path) -> Path:
     """Run every (config, seed) episode; write logs, CSV, and summary.
 
     Per-episode failures are recorded and skipped; the suite carries on.
+    A suite with a remote backend plays its episodes on the episode pool,
+    which bounds the requests in flight (see the module docstring); a
+    local suite plays them one after another. Either way every episode
+    goes through the module's ``run_episode(config, seed, log_path)``,
+    and ``episodes.csv``, ``summary.txt`` and ``failures.txt`` list the
+    episodes in submission order. Raises ``ValueError`` before any
+    episode runs when two episodes would write the same log.
     """
     if not configs:
         raise ValueError("empty suite")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # an earlier run's outputs in this directory must not describe this one
-    for stale in ("episodes.csv", "summary.txt", "failures.txt"):
-        (out / stale).unlink(missing_ok=True)
-
-    episodes: list[EpisodeSummary] = []
-    failures: list[str] = []
+    jobs: list[_Job] = []
+    logs: set[Path] = set()
     for config in configs:
         # a model name such as org/name must not open a subdirectory
         label = config.model_label.replace("/", "_").replace("\\", "_")
         for seed in config.seeds:
             log_path = out / f"stage{config.stage_id}_{label}_seed{seed}.jsonl"
-            try:
-                result = run_episode(config, seed, log_path)
-                episodes.append(result.summary)
-            except Exception as exc:  # noqa: BLE001 - suite must survive episodes
-                log.error("episode stage=%s seed=%s failed: %s",
-                          config.stage_id, seed, exc)
-                failures.append(f"stage{config.stage_id} seed{seed}: {exc}")
+            if log_path in logs:
+                raise ValueError(f"two episodes of the suite would write {log_path.name}")
+            logs.add(log_path)
+            jobs.append((config, seed, log_path))
+
+    out.mkdir(parents=True, exist_ok=True)
+    # an earlier run's outputs in this directory must not describe this one
+    for stale in ("episodes.csv", "summary.txt", "failures.txt"):
+        (out / stale).unlink(missing_ok=True)
+
+    pooled = len(jobs) > 1 and any(
+        spec.backend == "remote"
+        for config in configs for spec in (config.primary, config.reference)
+    )
+    outcomes = _play_pooled(jobs) if pooled else map(_play, jobs)
+    episodes: list[EpisodeSummary] = []
+    failures: list[str] = []
+    for outcome in outcomes:
+        (failures if isinstance(outcome, str) else episodes).append(outcome)
 
     if episodes:
         (out / "episodes.csv").write_text(episodes_csv(episodes), encoding="utf-8")
@@ -198,7 +242,45 @@ def run_benchmark(configs: list[RunConfig], out_dir: str | Path) -> Path:
     return out
 
 
+def _play(job: _Job) -> EpisodeSummary | str:
+    """One episode's summary, or its line in ``failures.txt``."""
+    config, seed, log_path = job
+    try:
+        # the module global, looked up per call, so that a wrapper of it sees every episode
+        return run_episode(config, seed, log_path).summary
+    except Exception as exc:  # noqa: BLE001 - suite must survive episodes
+        log.error("episode stage=%s seed=%s failed: %s", config.stage_id, seed, exc)
+        return f"stage{config.stage_id} seed{seed}: {exc}"
+
+
+def _play_pooled(jobs: list[_Job]) -> list[EpisodeSummary | str]:
+    """``_play`` each job on the episode pool; outcomes in job order."""
+    stop = threading.Event()
+
+    def play(job):
+        if stop.is_set():
+            raise EpisodeAborted("suite stopped before this episode started")
+        _suite.stop = stop
+        try:
+            return _play(job)
+        except BaseException:
+            stop.set()  # before this thread takes the next queued episode
+            raise
+
+    pool = ThreadPoolExecutor(max_workers=min(MAX_EPISODE_WORKERS, len(jobs)),
+                              thread_name_prefix="bab-episode")
+    try:
+        futures = [pool.submit(play, job) for job in jobs]
+        return [future.result() for future in futures]
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 __all__ = [
+    "EpisodeAborted",
     "RunConfig",
     "EpisodeResult",
     "run_episode",

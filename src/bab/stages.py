@@ -141,6 +141,12 @@ def derive_seed(seed: int, tag: str) -> int:
     return (seed & 0xFFFFFFFFFFFF) ^ (crc << 8)
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that the world hash cannot pack as a signed 64-bit int."""
+    if not -2**63 <= seed < 2**63:
+        raise StageLoadError(f"seed {seed} is outside [-2**63, 2**63)")
+
+
 # StageOverrides keys that are spelled differently in StageConfig
 _CONFIG_FIELD = {"turns": "turn_cap", "agents": "n_agents", "teams": "n_teams",
                  "bases": "n_bases", "npcs": "n_npcs"}
@@ -209,6 +215,7 @@ def load_stage(
     overrides: StageOverrides | None = None,
 ) -> WorldState:
     """Build a running world for the stage, deterministically from the seed."""
+    check_seed(seed)
     cfg = resolve_config(stage_id, overrides)
     rng_world = random.Random(derive_seed(seed, "world"))
     rng_npc = random.Random(derive_seed(seed, "npc"))

@@ -100,6 +100,17 @@ def test_seed_outside_signed_64_bits_is_a_config_error(tmp_path, capsys):
         assert run_cli("verify", str(out_dir / f"stage1_random_seed{seed}.jsonl")) == EXIT_OK
 
 
+def test_repeated_seed_is_a_config_error(tmp_path, capsys):
+    # two episodes would write one log, and episodes.csv would count it twice
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("0\n0\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--seeds", str(seeds), "--primary-model", "random",
+                   "--out", str(out_dir)) == EXIT_CONFIG
+    assert "stage1_random_seed0.jsonl" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_no_coop_flag_recorded(tmp_path):
     out_dir = tmp_path / "out"
     run_cli("run", "--stage", "5", "--seed", "1", "--runs", "1",

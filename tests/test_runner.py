@@ -130,6 +130,9 @@ class _ChatStub(ThreadingHTTPServer):
     that a turn's replies come back out of order."""
 
     daemon_threads = True
+    # a suite opens up to 24 connections at once; past the listen backlog
+    # a connection waits a second for its SYN to be resent
+    request_queue_size = 64
 
     def __init__(self, stage_id: int) -> None:
         super().__init__(("127.0.0.1", 0), _ChatHandler)
@@ -276,10 +279,138 @@ def test_other_worker_exception_fails_the_episode(chat_stub, tmp_path, monkeypat
     assert decide_threads() == []
 
 
-def test_local_backends_open_no_pool(monkeypatch):
+def test_local_backends_open_no_pool(monkeypatch, tmp_path):
     def no_pool(*args, **kwargs):
         raise AssertionError("local backends must not open a thread pool")
 
     monkeypatch.setattr(runner_mod, "ThreadPoolExecutor", no_pool)
     result = run_episode(config(stage_id=7, overrides=StageOverrides(turns=3)), 0)
     assert result.world.turn == 3
+    suite = config(stage_id=7, overrides=StageOverrides(turns=3))
+    suite.seeds = [0, 1, 2]
+    out = run_benchmark([suite], tmp_path / "suite")
+    assert len((out / "episodes.csv").read_text(encoding="utf-8").splitlines()) == 4
+    assert not (out / "failures.txt").exists()
+
+
+def test_out_of_range_seed_fails_before_its_episode_plays(tmp_path):
+    for seed in (2**63, -2**63 - 1):
+        with pytest.raises(StageLoadError, match="outside"):
+            load_stage(1, seed)
+    out = run_benchmark([RunConfig(stage_id=1, seeds=[2**63, 0],
+                                   primary=AgentSpec(backend="random", seed=1),
+                                   reference=AgentSpec(backend="random", seed=2))],
+                        tmp_path / "suite")
+    assert (out / "failures.txt").read_text(encoding="utf-8") == (
+        f"stage1 seed{2**63}: seed {2**63} is outside [-2**63, 2**63)\n")
+    assert not (out / f"stage1_random_seed{2**63}.jsonl").exists()
+    assert (out / "episodes.csv").read_text(encoding="utf-8").splitlines()[1].startswith(
+        "1,random,0,")
+
+
+def test_duplicate_log_path_is_refused_before_any_episode(tmp_path):
+    suite = config(stage_id=1)
+    suite.seeds = [0, 1, 0]
+    with pytest.raises(ValueError, match="stage1_random_seed0.jsonl"):
+        run_benchmark([suite], tmp_path / "suite")
+    assert not (tmp_path / "suite").exists()
+    # two model names that map to one file name collide too
+    slash = RunConfig(stage_id=1, seeds=[0], primary=AgentSpec(backend="remote", model="a/b"),
+                      reference=AgentSpec(backend="random", seed=2))
+    under = RunConfig(stage_id=1, seeds=[0], primary=AgentSpec(backend="remote", model="a_b"),
+                      reference=AgentSpec(backend="random", seed=2))
+    with pytest.raises(ValueError, match="stage1_a_b_seed0.jsonl"):
+        run_benchmark([slash, under], tmp_path / "suite")
+
+
+# ----------------------------------------------------------------------
+# a remote suite's episodes on the episode pool
+# ----------------------------------------------------------------------
+
+SUITE_SEEDS = [3, 4, 5, 6, 7]
+
+
+def remote_suite(stub, turns=4):
+    suite = remote_config(stub, turns=turns)
+    suite.seeds = list(SUITE_SEEDS)
+    return suite
+
+
+def pool_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith(("bab-episode", "bab-decide"))]
+
+
+def test_concurrent_suite_matches_one_episode_at_a_time(chat_stub, tmp_path, monkeypatch):
+    def run(name):
+        out = run_benchmark([remote_suite(chat_stub)], tmp_path / name)
+        logs = {}
+        for path in sorted(out.glob("*.jsonl")):
+            lines = [json.loads(line) for line in path.read_text().splitlines()]
+            for record in lines:
+                record.pop("latency_ms", None)
+            logs[path.name] = lines
+        return [(out / name).read_bytes() for name in ("episodes.csv", "summary.txt")], logs
+
+    concurrent = run("pool")
+    monkeypatch.setattr(runner_mod, "MAX_EPISODE_WORKERS", 1)
+    sequential = run("one")
+    assert len(concurrent[1]) == len(SUITE_SEEDS)
+    assert concurrent == sequential
+    assert pool_threads() == []
+
+
+def test_remote_suite_requests_stay_within_the_bound(chat_stub, tmp_path):
+    out = run_benchmark([remote_suite(chat_stub)], tmp_path / "suite")
+    agents = len(load_stage(7, 3).live_agents())
+    assert agents < chat_stub.peak
+    assert chat_stub.peak <= runner_mod.MAX_EPISODE_WORKERS * runner_mod.MAX_DECIDE_WORKERS
+    assert len((out / "episodes.csv").read_text().splitlines()) == 1 + len(SUITE_SEEDS)
+    assert pool_threads() == []
+
+
+def test_failed_episodes_are_listed_in_submission_order(chat_stub, tmp_path, monkeypatch):
+    play = runner_mod.run_episode
+
+    def run_episode(config, seed, log_path):
+        if seed == 4:
+            time.sleep(0.3)  # so seed 6 fails first
+            raise RuntimeError("late failure")
+        if seed == 6:
+            raise RuntimeError("early failure")
+        return play(config, seed, log_path)
+
+    monkeypatch.setattr(runner_mod, "run_episode", run_episode)
+    out = run_benchmark([remote_suite(chat_stub)], tmp_path / "suite")
+    assert (out / "failures.txt").read_text() == (
+        "stage7 seed4: late failure\nstage7 seed6: early failure\n")
+    rows = (out / "episodes.csv").read_text().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == [3, 5, 7]
+    assert pool_threads() == []
+
+
+def test_interrupted_suite_starts_no_queued_episode(chat_stub, tmp_path, monkeypatch):
+    play = runner_mod.run_episode
+    workers = runner_mod.MAX_EPISODE_WORKERS
+    started = []
+
+    def run_episode(config, seed, log_path):
+        started.append(seed)
+        if seed == SUITE_SEEDS[1]:
+            time.sleep(0.1)  # while the episodes beside it play their turns
+            raise KeyboardInterrupt
+        return play(config, seed, log_path)
+
+    monkeypatch.setattr(runner_mod, "run_episode", run_episode)
+    out = tmp_path / "suite"
+    with pytest.raises(KeyboardInterrupt):
+        run_benchmark([remote_suite(chat_stub, turns=40)], out)
+    assert sorted(started) == SUITE_SEEDS[:workers]
+    running = sorted(out.glob("*.jsonl"))
+    assert len(running) == workers - 1
+    for path in running:  # stopped after some turns, before the end line
+        kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+        assert "turn" in kinds and "end" not in kinds
+        assert json.loads(path.read_text().splitlines()[-1])["turn"] < 39
+    assert not (out / "episodes.csv").exists() and not (out / "failures.txt").exists()
+    assert pool_threads() == []
