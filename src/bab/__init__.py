@@ -12,7 +12,7 @@ from .metrics import (
     move_accuracy,
 )
 from .parsing import ParsedAction, format_reply, parse_response
-from .prompts import render_observation
+from .prompts import render_observation, render_turn
 from .replay import metrics_from_log, read_log, replay_verify
 from .runner import RunConfig, run_benchmark, run_episode
 from .stages import STAGE_SETTINGS, StageOverrides, load_stage
@@ -49,6 +49,7 @@ __all__ = [
     "parse_response",
     "read_log",
     "render_observation",
+    "render_turn",
     "replay_verify",
     "route_coop",
     "run_benchmark",

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .agents import AgentError, parse_model_name
 from .metrics import DENOMINATOR_MODES, MetricsError, aggregate, episodes_csv, summary_table
+from .prompts import LOCALES
 from .replay import ReplayError, load_world, metrics_from_log, read_log, replay_verify
 from .runner import RunConfig, run_benchmark
 from .stages import (
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ref-url", default="", help="reference chat endpoint base URL")
     run.add_argument("--no-coop", action="store_true",
                      help="disable the cooperation interface (ablation)")
-    run.add_argument("--locale", choices=("en", "zh"), default="en")
+    run.add_argument("--locale", choices=LOCALES, default="en")
     run.add_argument("--macc-denominator", choices=DENOMINATOR_MODES, default="moves")
     run.add_argument("--stage-config", type=Path,
                      help=f"YAML file with stage overrides, keys: {', '.join(OVERRIDE_KEYS)};"

@@ -7,6 +7,17 @@ feedback). Rendering is a pure function of its inputs: it never mutates
 the world. It fills the wall grid's text cache (``WallGrid.cells_text``),
 which is not world state.
 
+``render_turn`` renders every prompt of a turn in one call, and
+``render_observation`` is its one-agent case. What agents see alike is
+built once per turn: one text line per live tank, the block of live
+bases, and one block per team for its enemy tanks, own base, enemy bases
+and last round's attack targets. Only the own tank, teammates,
+cooperation history, local map, last operation and feedback are built
+per agent. Each (stage, locale, coop) template is split once, on first
+use, into its literal text and its slots; a slot records whether a value
+that does not open a new line needs a leading space, so filling a prompt
+is one join of those parts.
+
 ``_PHRASES`` is the one place for locale text outside ``templates/``:
 enum words, the generated lines and the feedback sentences, one table
 per locale, so no function here branches on the locale. ``LOCALES`` is
@@ -23,8 +34,10 @@ all.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from functools import lru_cache
 from importlib import resources
+from typing import NamedTuple
 
 from .engine import probe_ahead
 from .stages import TYPED_STAGES, is_navigation
@@ -36,6 +49,7 @@ from .types import (
     Base,
     Goal,
     Tank,
+    TankKind,
     TurnRecord,
     WorldState,
 )
@@ -125,78 +139,116 @@ def render_observation(
     last_record: TurnRecord | None = None,
     coop_enabled: bool = True,
 ) -> str:
-    """Fill the stage template with the agent's view of the world."""
-    agent = world.require_tank(agent_id)
+    """Fill the stage template with one agent's view of the world."""
+    return render_turn(world, [agent_id], locale, {agent_id: last_record}, coop_enabled)[0]
+
+
+def render_turn(
+    world: WorldState,
+    agent_ids: list[int],
+    locale: str = "en",
+    last_records: Mapping[int, TurnRecord | None] | None = None,
+    coop_enabled: bool = True,
+) -> list[str]:
+    """One prompt per id, in ``agent_ids`` order, each the stage template
+    filled with that agent's view of the world. ``last_records`` maps an
+    id to the agent's previous turn record; a missing id has none."""
+    agents = [world.require_tank(agent_id) for agent_id in agent_ids]
     stage_id = world.config.stage_id
-    template = load_template(stage_id, locale, coop_enabled)
+    parts = _template_parts(stage_id, locale, coop_enabled)
+    p = _PHRASES[locale]
+    navigation = is_navigation(stage_id)
+    last_records = last_records or {}
 
+    # the same for every prompt of the turn
     typed = stage_id in TYPED_STAGES
-    teammates = [
-        t for t in world.live_agents() if t.team == agent.team and t.id != agent_id
-    ]
-    enemies = sorted(
-        (t for t in world.live_tanks() if t.team != agent.team), key=lambda t: t.id
-    )
-    own_base = world.base_for_team(agent.team)
-    enemy_bases = sorted(
-        (b for b in world.bases.values() if not b.destroyed and b.team != agent.team),
-        key=lambda b: b.id,
-    )
+    tanks = sorted(world.live_tanks(), key=lambda t: t.id)
+    lines = {t.id: _tank_line(t, p, typed) for t in tanks}
+    bases = sorted((b for b in world.bases.values() if not b.destroyed), key=lambda b: b.id)
+    targets = sorted(world.last_turn_targets.items())
+    shared = {"turn": str(world.turn + 1), "bases": _base_lines(bases)}
+    teams: dict[int | None, dict[str, str]] = {}
 
-    values = {
-        "turn": str(world.turn + 1),
-        "own_tank": _tank_lines([agent], locale, typed),
-        "teammates": _tank_lines(teammates, locale, typed),
-        "enemy_tanks": _tank_lines(enemies, locale, typed),
-        "bases": _base_lines([b for b in world.bases.values() if not b.destroyed]),
-        "own_base": _base_lines([own_base] if own_base and not own_base.destroyed else []),
-        "enemy_bases": _base_lines(enemy_bases),
-        "attack_targets": _target_lines(world, agent),
-        "coop_history": _coop_lines(world, agent_id, locale),
-        "map_info": _map_lines(world, agent, locale),
-        "last_op": _last_op_value(is_navigation(stage_id), locale, last_record),
-        "last_feedback": feedback_text(last_record, locale),
-    }
-    return _fill(template, values)
+    prompts = []
+    for agent in agents:
+        team = agent.team
+        if team not in teams:
+            own_base = world.base_for_team(team)
+            teams[team] = {
+                "enemy_tanks": _block([lines[t.id] for t in tanks if t.team != team]),
+                "own_base": _base_lines(
+                    [own_base] if own_base is not None and not own_base.destroyed else []),
+                "enemy_bases": _base_lines([b for b in bases if b.team != team]),
+                "attack_targets": _block([
+                    f"({a}, {t})" for a, t in targets if world.tanks[a].team == team
+                ]),
+            }
+        record = last_records.get(agent.id)
+        values = {
+            **shared,
+            **teams[team],
+            "own_tank": "\n" + lines[agent.id],
+            "teammates": _block([
+                lines[t.id] for t in tanks
+                if t.kind is TankKind.AGENT and t.team == team and t.id != agent.id
+            ]),
+            "coop_history": _coop_lines(world, agent.id, locale),
+            "map_info": _map_lines(world, agent, locale),
+            "last_op": _last_op_value(navigation, locale, record),
+            "last_feedback": feedback_text(record, locale),
+        }
+        prompts.append(_join(parts, values))
+    return prompts
 
 
-def _fill(template: str, values: dict[str, str]) -> str:
-    def sub(m: re.Match) -> str:
-        value = values.get(m.group(1), "")
-        if not value or value.startswith("\n"):
-            return value
-        prev = template[m.start() - 1] if m.start() > 0 else "\n"
-        return value if prev in " \t\n" else " " + value
+class _Slot(NamedTuple):
+    """A ``{{name}}`` fill point of a split template. ``spaced``: a value
+    that does not open a new line is set off by one space, because the
+    template has no whitespace right before the slot."""
 
-    return _SLOT_RE.sub(sub, template)
+    name: str
+    spaced: bool
+
+
+@lru_cache(maxsize=None)
+def _template_parts(stage_id: int, locale: str, coop_enabled: bool) -> tuple[str | _Slot, ...]:
+    """The template as its literal text and slots, in order."""
+    template = load_template(stage_id, locale, coop_enabled)
+    parts: list[str | _Slot] = []
+    cursor = 0
+    for m in _SLOT_RE.finditer(template):
+        parts.append(template[cursor:m.start()])
+        parts.append(_Slot(m.group(1), m.start() > 0 and template[m.start() - 1] not in " \t\n"))
+        cursor = m.end()
+    parts.append(template[cursor:])
+    return tuple(parts)
+
+
+def _join(parts: tuple[str | _Slot, ...], values: dict[str, str]) -> str:
+    out = []
+    for part in parts:
+        if isinstance(part, str):
+            out.append(part)
+            continue
+        value = values.get(part.name, "")
+        if part.spaced and value and value[0] != "\n":
+            value = " " + value
+        out.append(value)
+    return "".join(out)
 
 
 def _block(lines: list[str]) -> str:
     return "".join("\n" + line for line in lines)
 
 
-def _tank_lines(tanks: list[Tank], locale: str, typed: bool) -> str:
-    p = _PHRASES[locale]
-    lines = []
-    for t in tanks:
-        fields = [str(t.id), str(t.pos.x), str(t.pos.y), p[t.facing.value], str(t.health)]
-        if typed:
-            fields.append(p[t.kind.value])
-        lines.append("(" + ", ".join(fields) + ")")
-    return _block(lines)
+def _tank_line(tank: Tank, p: dict, typed: bool) -> str:
+    kind = ", " + p[tank.kind.value] if typed else ""
+    return f"({tank.id}, {tank.pos.x}, {tank.pos.y}, {p[tank.facing.value]}, {tank.health}{kind})"
 
 
 def _base_lines(bases: list[Base]) -> str:
-    return _block([f"({b.id}, {b.pos.x}, {b.pos.y})" for b in sorted(bases, key=lambda b: b.id)])
-
-
-def _target_lines(world: WorldState, agent: Tank) -> str:
-    pairs = [
-        (a_id, t_id)
-        for a_id, t_id in sorted(world.last_turn_targets.items())
-        if world.tanks[a_id].team == agent.team
-    ]
-    return _block([f"({a}, {t})" for a, t in pairs])
+    """``bases`` in id order."""
+    return _block([f"({b.id}, {b.pos.x}, {b.pos.y})" for b in bases])
 
 
 def _coop_lines(world: WorldState, agent_id: int, locale: str) -> str:

@@ -7,15 +7,16 @@ agent or the first team of agents (team 0); every other agent binds to
 the reference backend. Turn records stream to the replay log as they
 happen.
 
-Every prompt of a turn is rendered from the same world before any agent
-is asked, so one turn's decisions do not depend on each other. When an
-episode has a remote backend, a turn's decisions run concurrently on a
-thread pool that lives for the episode, at most ``MAX_DECIDE_WORKERS``
-at a time. Local backends are asked one after another: they answer in
-microseconds, and handing each of their decisions to the pool cost
-about a third of the local workloads' decisions per second. Either way
-the replies are parsed, routed, resolved and logged in ``live_agents()``
-order, so the log does not depend on which reply came back first.
+Every prompt of a turn is rendered from the same world, in one
+``prompts.render_turn`` call, before any agent is asked, so one turn's
+decisions do not depend on each other. When an episode has a remote
+backend, a turn's decisions run concurrently on a thread pool that lives
+for the episode, at most ``MAX_DECIDE_WORKERS`` at a time. Local
+backends are asked one after another: they answer in microseconds, and
+handing each of their decisions to the pool cost about a third of the
+local workloads' decisions per second. Either way the replies are
+parsed, routed, resolved and logged in ``live_agents()`` order, so the
+log does not depend on which reply came back first.
 
 A suite in which any config binds a remote backend plays its episodes
 concurrently too, on one thread pool of at most ``MAX_EPISODE_WORKERS``
@@ -48,7 +49,7 @@ from pathlib import Path
 from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_backend
 from .engine import play_turn
 from .metrics import EpisodeSummary, aggregate, episodes_csv, summary_table
-from .prompts import render_observation
+from .prompts import render_turn
 from .replay import LOG_VERSION, HeaderRecord, ReplayWriter, episode_summary, world_fields
 from .stages import StageOverrides, load_stage
 from .types import TurnRecord, WorldState
@@ -141,16 +142,8 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
             if stop is not None and stop.is_set():
                 raise EpisodeAborted(f"suite stopped before turn {world.turn}")
             agent_ids = [agent.id for agent in world.live_agents()]
-            prompts = [
-                render_observation(
-                    world,
-                    agent_id,
-                    locale=config.locale,
-                    last_record=last_record.get(agent_id),
-                    coop_enabled=config.coop_enabled,
-                )
-                for agent_id in agent_ids
-            ]
+            prompts = render_turn(world, agent_ids, config.locale, last_record,
+                                  config.coop_enabled)
             meta = dict(zip(agent_ids, zip(prompts, decide_all(decide, agent_ids, prompts))))
             replies = {agent_id: exchange.response for agent_id, (_, exchange) in meta.items()}
             coop_events, records = play_turn(world, replies, config.coop_enabled)

@@ -10,7 +10,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bab.coop import route_coop
-from bab.engine import step_turn
+from bab.engine import play_turn, step_turn
 from bab.parsing import (
     CoopCommand,
     CoopKind,
@@ -27,8 +27,9 @@ from bab.prompts import (
     feedback_text,
     load_template,
     render_observation,
+    render_turn,
 )
-from bab.stages import load_stage
+from bab.stages import coop_format, load_stage
 from bab.types import (
     Action,
     Blocker,
@@ -102,14 +103,19 @@ def test_rendering_is_pure():
 
 
 def test_render_rejects_dead_agent_and_bad_locale():
-    w = load_stage(1, 0)
+    w = load_stage(5, 0)
+    ids = [a.id for a in w.live_agents()]
     with pytest.raises(ValueError):
         render_observation(w, 1, locale="fr")
+    with pytest.raises(ValueError):
+        render_turn(w, ids, locale="fr")
     w.tanks[1].health = 0
     from bab.types import DeadEntityError
 
     with pytest.raises(DeadEntityError):
         render_observation(w, 1)
+    with pytest.raises(DeadEntityError):
+        render_turn(w, ids)
 
 
 def test_prompt_shows_state_values():
@@ -312,9 +318,11 @@ def test_rendering_leaves_the_world_unchanged(stage_id):
     rng = random.Random(stage_id)
     for _ in range(40):
         before = world.world_hash()
-        for a in world.live_agents():
-            for locale in LOCALES:
-                render_observation(world, a.id, locale)
+        ids = [a.id for a in world.live_agents()]
+        for locale in LOCALES:
+            for agent_id in ids:
+                render_observation(world, agent_id, locale)
+            render_turn(world, ids, locale)
         assert world.world_hash() == before
         cell = rng.choice(sorted(cells))
         world.walls.remove(*cell)
@@ -325,6 +333,65 @@ def test_rendering_leaves_the_world_unchanged(stage_id):
     assert len(world.walls) == len(fresh)
     lattice_cells = [(x, y) for x in range(64) for y in range(64)]
     assert [c in world.walls for c in lattice_cells] == [c in fresh for c in lattice_cells]
+
+
+def turn_replies(world, draw, turn):
+    """Every live agent's reply for one turn. On cooperation stages the
+    first two turns are canned: the lowest agent asks the next one, which
+    keeps (accepts) the turn after; later replies are drawn."""
+    stage_id = world.config.stage_id
+    ids = [a.id for a in world.live_agents()]
+    canned = {}
+    if coop_format(stage_id) and len(ids) > 1 and turn < 2:
+        sender, recipient = ids[:2]
+        canned = ({sender: CoopCommand(CoopKind.REQUEST, recipient, "push together")},
+                  {recipient: CoopCommand(CoopKind.KEEP)})[turn]
+    coops = st.one_of(st.none(), st.sampled_from([NO_COOP, CoopCommand(CoopKind.KEEP),
+                                                  CoopCommand(CoopKind.STOP)]),
+                      st.sampled_from(ids).map(lambda to: CoopCommand(CoopKind.REQUEST, to, "go")))
+    return {
+        agent_id: format_reply(stage_id, draw(st.sampled_from(list(Action))),
+                               draw(st.sampled_from(sorted(world.tanks))),
+                               canned[agent_id] if agent_id in canned else draw(coops))
+        for agent_id in ids
+    }
+
+
+@given(
+    data=st.data(),
+    stage_id=st.sampled_from(ALL_STAGES),
+    seed=st.integers(min_value=0, max_value=2**32),
+    locale=st.sampled_from(LOCALES),
+    coop_enabled=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_render_turn_equals_one_render_per_agent(data, stage_id, seed, locale, coop_enabled):
+    """Blocks built once per turn and shared across agents leak nothing
+    from one agent's prompt into another's: after k played turns, with
+    tanks killed and bases destroyed, one ``render_turn`` call gives each
+    agent the prompt it gets rendered alone, in the order asked."""
+    world = load_stage(stage_id, seed)
+    last_records = {}
+    for turn in range(data.draw(st.integers(min_value=0, max_value=12), label="turns")):
+        if world.status is not None:
+            break
+        _, records = play_turn(world, turn_replies(world, data.draw, turn), coop_enabled)
+        last_records.update((r.agent, r) for r in records)
+    if stage_id == 3 and coop_enabled and world.turn >= 2:
+        assert world.coop_history
+    for tank_id in data.draw(st.lists(st.sampled_from(sorted(world.tanks)), max_size=4),
+                             label="killed"):
+        world.tanks[tank_id].health = 0
+    for base_id in data.draw(st.lists(st.sampled_from(sorted(world.bases)), max_size=2),
+                             label="destroyed"):
+        world.bases[base_id].destroyed = True
+    ids = data.draw(st.permutations([a.id for a in world.live_agents()]), label="ids")
+    alone = [
+        render_observation(world, agent_id, locale, last_record=last_records.get(agent_id),
+                           coop_enabled=coop_enabled)
+        for agent_id in ids
+    ]
+    assert render_turn(world, ids, locale, last_records, coop_enabled) == alone
 
 
 # ----------------------------------------------------------------------
