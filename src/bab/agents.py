@@ -6,8 +6,7 @@ Four interchangeable policies sit behind one ``decide`` interface:
   format) that retries with full-jitter exponential backoff, honours a
   ``Retry-After`` in seconds on 429 and 503, and gives one decision one
   deadline, ``AgentSpec.timeout`` seconds after it starts, for every
-  attempt and every sleep (see ``RemotePolicy`` for how closely a slow
-  server is held to it);
+  attempt, every sleep and every read of a reply (see ``RemotePolicy``);
 - ``random``: a seeded uniform draw over the five actions, always
   emitting the stage's exact output format;
 - ``greedy``: a deterministic navigator that closes the larger axis gap
@@ -18,21 +17,24 @@ Four interchangeable policies sit behind one ``decide`` interface:
 Backends never mutate the world; they only read it to synthesize
 replies, so the runner may ask several remote backends at once.
 Credentials come from BAB_API_KEY, the default endpoint from
-BAB_BASE_URL.
+BAB_BASE_URL, an http:// or https:// URL; proxy environment variables
+(``HTTPS_PROXY`` and the like) are not read.
 """
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
 import math
 import os
 import random
+import socket
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
-import urllib3
+from urllib.parse import SplitResult, urlsplit
 
 from .engine import ALL_ACTIONS, base_objective, probe_ahead
 from .parsing import NO_COOP, Action, format_reply
@@ -98,7 +100,7 @@ def parse_model_name(name: str, base_url: str = "", role: str = "primary") -> Ag
 
     ``random``, ``random:SEED``, ``greedy`` and ``canned:PATH`` select
     local backends; anything else is a remote chat model served at
-    ``base_url`` (or BAB_BASE_URL).
+    ``base_url`` (or BAB_BASE_URL), an http:// or https:// URL.
     """
     if name == "greedy":
         return AgentSpec(backend="greedy", role=role)
@@ -113,6 +115,7 @@ def parse_model_name(name: str, base_url: str = "", role: str = "primary") -> Ag
         raise AgentError(
             f"remote model {name!r} needs a base URL (flag or ${BASE_URL_ENV})"
         )
+    _split_base_url(url)
     return AgentSpec(backend="remote", role=role, model=name, base_url=url)
 
 
@@ -256,27 +259,28 @@ class RemotePolicy:
     A decision has a deadline ``spec.timeout`` seconds after it starts;
     when no time is left for a sleep or an attempt, or a reply is not
     complete by then, the decision fails with ``AgentError``. Each
-    attempt's HTTP timeout is the time left when it starts, and requests
-    applies it to the connect and to each socket read, not to their sum.
-    The body is read one socket read at a time and given up at the first
-    read that ends past the deadline, so a decision ends at most one
-    socket wait (itself at most ``spec.timeout``) after its deadline,
-    however slowly the body's data trickles in. The status line, the
-    headers and a chunked body's size lines are read by requests and
-    ``http.client``, where each read gets the full HTTP timeout: a
-    server that trickles those is cut off only when one read waits that
-    long.
+    attempt sets the socket timeout to the time left and shuts the socket
+    down at the deadline, so the deadline covers every read of a reply:
+    status line, headers and body. Connecting waits at most the time
+    left, as does each step of a TLS handshake. One connection per
+    policy is kept alive, as an agent's decisions come one at a time;
+    one the server closed while idle is opened again within the attempt.
+    Proxy environment variables are not read; redirects are not followed.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5) -> None:
         self.spec = spec
         self.backoff_base = backoff_base
-        self.session = requests.Session()
         self._jitter = random.Random()
+        url = _split_base_url(spec.base_url)
+        cls = (http.client.HTTPSConnection if url.scheme == "https"
+               else http.client.HTTPConnection)
+        self._conn = cls(url.hostname, url.port or cls.default_port)
+        self._path = url.path.rstrip("/") + "/chat/completions"
 
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
         user, system = split_prompt(prompt)
-        payload = {
+        body = json.dumps({
             "model": self.spec.model,
             "messages": [
                 {"role": "system", "content": system},
@@ -284,33 +288,24 @@ class RemotePolicy:
             ],
             "temperature": self.spec.temperature,
             "max_tokens": self.spec.max_tokens,
-        }
-        # the body is read raw, so ask for it undecoded
-        headers = {"Accept-Encoding": "identity"}
+        }).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
         api_key = os.environ.get(API_KEY_ENV, "")
         if api_key:
             headers["Authorization"] = f"Bearer {api_key}"
 
-        url = self.spec.base_url.rstrip("/") + "/chat/completions"
         attempts = 1 + max(0, self.spec.retries)
         start = time.monotonic()
         deadline = start + self.spec.timeout
-        last_error = "no attempt made"
         for attempt in range(1, attempts + 1):
-            left = deadline - time.monotonic()
-            if left <= 0:
-                break
             retry_after = None
             try:
-                with self.session.post(url, json=payload, headers=headers,
-                                       timeout=left, stream=True) as resp:
-                    if resp.status_code >= 500 or resp.status_code == 429:
-                        if resp.status_code in (429, 503):
-                            retry_after = _retry_after_s(resp.headers.get("Retry-After"))
-                        raise _Transient(f"HTTP {resp.status_code}")
-                    resp.raise_for_status()
-                    body = _read_body(resp, deadline)
-                text = json.loads(body)["choices"][0]["message"]["content"]
+                status, retry_header, reply = self._post(body, headers, deadline)
+                if status >= 400:
+                    if status in (429, 503):
+                        retry_after = _retry_after_s(retry_header)
+                    raise _Transient(f"HTTP {status}")
+                text = json.loads(reply)["choices"][0]["message"]["content"]
                 if not isinstance(text, str):
                     raise _Transient("missing assistant text")
                 return ChatExchange(
@@ -318,7 +313,7 @@ class RemotePolicy:
                     latency_ms=(time.monotonic() - start) * 1000.0,
                     attempt_count=attempt,
                 )
-            except (_Transient, requests.RequestException, urllib3.exceptions.HTTPError,
+            except (_Transient, OSError, http.client.HTTPException,
                     ValueError, KeyError, IndexError, TypeError) as exc:
                 last_error = str(exc) or type(exc).__name__
                 if attempt == attempts:
@@ -335,24 +330,58 @@ class RemotePolicy:
             f"remote call ran out of its {self.spec.timeout:g} s deadline: {last_error}"
         )
 
+    def close(self) -> None:
+        """Close the kept-alive connection."""
+        self._conn.close()
 
-_READ_SIZE = 65536
-
-
-def _read_body(resp: requests.Response, deadline: float) -> bytes:
-    """A streamed response's body, given up once a read ends past the deadline.
-
-    ``read1`` makes at most one socket read for the body's data, so the
-    deadline is checked however small the pieces the body comes in.
-    """
-    chunks = []
-    while True:
-        chunk = resp.raw.read1(_READ_SIZE)
-        if time.monotonic() > deadline:
+    def _post(self, body: bytes, headers: dict[str, str],
+              deadline: float) -> tuple[int, str | None, bytes]:
+        """One attempt: the reply's status, ``Retry-After`` and body."""
+        conn = self._conn
+        reused = conn.sock is not None
+        left = deadline - time.monotonic()
+        if left <= 0:
             raise _Transient("reply not complete by the deadline")
-        if not chunk:
-            return b"".join(chunks)
-        chunks.append(chunk)
+        resp = error = watchdog = None
+        try:
+            if conn.sock is None:
+                conn.timeout = left
+                conn.connect()
+            conn.sock.settimeout(left)
+            # the socket itself: a closing reply sets conn.sock to None
+            watchdog = threading.Timer(left, _shut, (conn.sock,))
+            watchdog.start()
+            conn.request("POST", self._path, body, headers)
+            resp = conn.getresponse()
+            reply = resp.read()
+        except (OSError, http.client.HTTPException) as exc:
+            error = exc
+        finally:
+            if watchdog:
+                watchdog.cancel()
+                watchdog.join()
+        if error is None and time.monotonic() < deadline:
+            return resp.status, resp.getheader("Retry-After"), reply
+        conn.close()
+        if time.monotonic() >= deadline:  # a reply the watchdog cut short may even parse
+            raise _Transient("reply not complete by the deadline")
+        if reused and resp is None and isinstance(error, ConnectionError):
+            return self._post(body, headers, deadline)  # the server closed it while idle
+        raise error
+
+
+def _shut(sock: socket.socket) -> None:
+    # not SSLSocket.shutdown, which drops TLS state the reader still uses
+    with contextlib.suppress(OSError):  # closed already
+        socket.socket.shutdown(sock, socket.SHUT_RDWR)
+
+
+def _split_base_url(url: str) -> SplitResult:
+    """``url``'s parts; AgentError unless it is http(s) with a host."""
+    parts = urlsplit(url)
+    if parts.scheme not in ("http", "https") or not parts.hostname or parts.port == 0:
+        raise AgentError(f"base URL {url!r} is not an http:// or https:// URL with a host")
+    return parts
 
 
 def _retry_after_s(value: str | None) -> float | None:

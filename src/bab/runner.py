@@ -30,7 +30,7 @@ run Python code in parallel.
 
 An episode that aborts while decisions are in flight (a backend raised
 something other than ``AgentError``, or the run was interrupted) first
-waits for them; a remote decision ends within about its deadline (see
+waits for them; a remote decision ends by its deadline (see
 ``agents.RemotePolicy``). A suite that is interrupted (any
 ``BaseException``, raised in an episode or in the caller's thread)
 starts no queued episode, stops each running one at the end of its
@@ -170,6 +170,9 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+            for backend in backends.values():
+                if isinstance(backend, RemotePolicy):
+                    backend.close()
         if writer is not None:
             writer.close()
     return EpisodeResult(summary=summary, world=world, records=all_records)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -8,7 +9,6 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from bab import agents
 from bab.agents import (
@@ -291,24 +291,24 @@ def test_remote_decide_does_not_mutate_world(stub_server):
 class FakeClock:
     """Stands in for ``time`` in ``bab.agents``: sleeps are recorded and
     advance the clock; each HTTP attempt takes ``post_s`` seconds, or
-    times out when its timeout is shorter."""
+    times out when the time left before its deadline is shorter."""
 
     def __init__(self, policy: RemotePolicy, post_s: float = 0.0) -> None:
         self.now = 1000.0
         self.sleeps: list[float] = []
-        self.attempts: list[tuple[float, float]] = []  # (start, HTTP timeout)
-        post = policy.session.post
+        self.attempts: list[tuple[float, float]] = []  # (start, time left)
+        post = policy._post
 
-        def timed_post(*args, **kwargs):
-            timeout = kwargs["timeout"]
+        def timed_post(body, headers, deadline):
+            timeout = deadline - self.now
             self.attempts.append((self.now, timeout))
             if post_s > timeout:
                 self.now += timeout
-                raise requests.exceptions.ReadTimeout("read timed out")
+                raise TimeoutError("read timed out")
             self.now += post_s
-            return post(*args, **kwargs)
+            return post(body, headers, deadline)
 
-        policy.session.post = timed_post
+        policy._post = timed_post
 
     def monotonic(self) -> float:
         return self.now
@@ -441,15 +441,30 @@ class _TrickleHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def trickle_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _TrickleHandler)
+@contextlib.contextmanager
+def serving(handler):
+    """A threading HTTP server on a loopback port, as its base URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
     thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def trickle_server():
+    with serving(_TrickleHandler) as url:
+        yield url
+
+
+def client_threads():
+    """Watchdog timers and ``bab-`` pool threads still running."""
+    return [t for t in threading.enumerate()
+            if isinstance(t, threading.Timer) or t.name.startswith("bab-")]
 
 
 def test_remote_gives_up_a_trickled_body_at_the_deadline(trickle_server, monkeypatch):
@@ -476,6 +491,87 @@ def test_remote_assembles_a_trickled_body_within_the_deadline(trickle_server,
     assert exchange.response == "#Operation: #Shoot#"
 
 
+class _TrickleHeadHandler(BaseHTTPRequestHandler):
+    """Sends a reply's first ``at_once`` bytes at once, then the rest of
+    its status line and headers one byte every 30 ms, then its body."""
+
+    at_once = 0
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = good_body("#Operation: #Shoot#").encode()
+        head = ("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n\r\n").encode()
+        try:
+            self.wfile.write(head[:self.at_once])
+            for i in range(self.at_once, len(head)):
+                time.sleep(0.03)
+                self.wfile.write(head[i:i + 1])
+            self.wfile.write(body)
+        except OSError:
+            pass  # the client gave up
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("at_once", [0, len(b"HTTP/1.1 200 OK\r\n")],
+                         ids=["status-line", "headers"])
+def test_remote_gives_up_a_trickled_head_at_the_deadline(monkeypatch, at_once):
+    # about 70 bytes at 30 ms each take 2 s; the watchdog cuts them at 0.4 s
+    monkeypatch.setattr(_TrickleHeadHandler, "at_once", at_once)
+    with serving(_TrickleHeadHandler) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                        timeout=0.4, retries=0))
+        start = time.monotonic()
+        with pytest.raises(AgentError, match="not complete by the deadline"):
+            policy.decide("prompt", load_stage(1, 0), 1)
+        assert time.monotonic() - start < 0.4 + 0.3  # one 30 ms wait, and slack
+        assert client_threads() == []
+
+
+class _KeepAliveHandler(BaseHTTPRequestHandler):
+    """An HTTP/1.1 chat stub that counts the connections it accepts, and
+    closes each one after its first reply when ``close_after_reply``,
+    without saying so in the reply."""
+
+    protocol_version = "HTTP/1.1"
+    connections = 0
+    close_after_reply = False
+
+    def setup(self):
+        super().setup()
+        type(self).connections += 1
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        body = good_body("#Operation: #Shoot#").encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+        self.close_connection = self.close_after_reply
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.mark.parametrize("close_after_reply, connections", [(False, 1), (True, 4)])
+def test_remote_keeps_one_connection_alive(monkeypatch, close_after_reply, connections):
+    # an idle connection that the server closed costs no attempt
+    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
+    monkeypatch.setattr(_KeepAliveHandler, "close_after_reply", close_after_reply)
+    w = load_stage(1, 0)
+    with serving(_KeepAliveHandler) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url))
+        for _ in range(4):
+            exchange = policy.decide("prompt", w, 1)
+            assert (exchange.response, exchange.attempt_count) == ("#Operation: #Shoot#", 1)
+            assert client_threads() == []
+        policy.close()
+    assert _KeepAliveHandler.connections == connections
+
+
 # ----------------------------------------------------------------------
 # model-name parsing
 # ----------------------------------------------------------------------
@@ -492,8 +588,18 @@ def test_parse_model_name_forms(tmp_path, monkeypatch):
     assert remote.backend == "remote" and remote.base_url == "http://h"
     with pytest.raises(AgentError, match="base URL"):
         parse_model_name("gpt-x")
+    assert parse_model_name("gpt-x", base_url="https://h:8443/v1").base_url == "https://h:8443/v1"
+    # each of these cost every decision all its attempts and their backoff
+    for url in ("localhost:8080", "127.0.0.1:9/v1", "ftp://h/v1", "http:///v1", "http://h:0"):
+        with pytest.raises(AgentError, match="not an http:// or https:// URL"):
+            parse_model_name("gpt-x", base_url=url)
+    with pytest.raises(ValueError, match="Port"):
+        parse_model_name("gpt-x", base_url="http://h:port/v1")
     monkeypatch.setenv("BAB_BASE_URL", "http://env-host")
     assert parse_model_name("gpt-x").base_url == "http://env-host"
+    monkeypatch.setenv("BAB_BASE_URL", "localhost:8080")
+    with pytest.raises(AgentError, match="not an http:// or https:// URL"):
+        parse_model_name("gpt-x")
 
 
 def test_split_prompt_covers_all_templates():

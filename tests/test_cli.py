@@ -145,6 +145,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run_cli("report", str(tmp_path / "empty-missing")) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("url", ["localhost:8080", "127.0.0.1:9/v1", "ftp://h/v1"])
+def test_base_url_that_is_not_http_is_a_config_error(tmp_path, capsys, url):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--runs", "1", "--primary-model", "m",
+                   "--primary-url", url, "--out", str(out_dir)) == EXIT_CONFIG
+    assert "not an http:// or https:// URL" in capsys.readouterr().err
+    assert not out_dir.exists()  # no episode ran
+
+
 def test_override_of_wrong_type_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "stage.yaml"
     out_dir = tmp_path / "out"
