@@ -218,7 +218,8 @@ class CannedPolicy:
 
     def __init__(self, transcript_path: str) -> None:
         self.path = transcript_path
-        lines = Path(transcript_path).read_text(encoding="utf-8").splitlines()
+        # split at "\n" only, as read_log does: a raw U+2028 is inside a reply
+        lines = Path(transcript_path).read_text(encoding="utf-8").split("\n")
         self.replies = [_transcript_reply(transcript_path, i, line)
                         for i, line in enumerate(lines, 1) if line.strip()]
         self.cursor = 0

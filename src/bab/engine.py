@@ -73,7 +73,7 @@ def _step_ahead(world: WorldState, tank: Tank, direction: Orientation):
     pos = Pos(tank.pos.x + dx * MOVE_STEP, tank.pos.y + dy * MOVE_STEP)
     if not in_bounds(*pos):
         return pos, Blocker.BOUNDARY, None
-    cell = next(world.walls.cells_in_rect(*pos, TANK_SIZE, TANK_SIZE), None)
+    cell = world.walls.first_in_rect(*pos, TANK_SIZE, TANK_SIZE)
     if cell is not None:
         return pos, Blocker.WALL, (cell[0] * WALL_SIZE, cell[1] * WALL_SIZE)
     other = world.tank_at_rect(*pos, exclude_id=tank.id)

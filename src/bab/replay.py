@@ -182,7 +182,9 @@ def read_log(path: str | Path) -> ReplayLog:
     turns: list[TurnRecord] = []
     coops: list[dict] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, line in enumerate(text.splitlines(), 1):
+    # "\n" alone ends a record: json.dumps(ensure_ascii=False) writes
+    # U+2028, U+2029 and U+0085 raw inside strings, where splitlines breaks
+    for line_no, line in enumerate(text.split("\n"), 1):
         if not line.strip():
             continue
         try:

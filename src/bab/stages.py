@@ -14,7 +14,12 @@ spawn next to their own base (jittered in whole 32-px cells),
 interference NPC tanks scatter over the central region, and sparse wall
 clusters fill the rest. All randomness comes from the world RNG stream,
 so identical (stage_id, seed, overrides) inputs always produce
-byte-identical worlds.
+byte-identical worlds. The wall scatter works on lattice row bitmasks:
+each drawn cluster is tested against one keep-out mask built per load
+and ORed into the grid's rows, and its four values come from
+``getrandbits`` by the algorithm of ``Random.randint``, so the stream,
+and with it every layout, is the one that four ``randint`` calls and a
+cell-by-cell scan would give.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from typing import NamedTuple
-
-import yaml
 
 from .types import (
     AGENT_HEALTH,
@@ -125,6 +130,8 @@ class StageOverrides:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "StageOverrides":
+        import yaml  # only stage-config files are YAML
+
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         return cls.from_mapping({} if data is None else data)
 
@@ -376,26 +383,47 @@ def _npc_spawn_cells(
     placed: list[_Placed],
     walls: WallGrid,
 ) -> list[Pos]:
-    """Scatter NPCs over the interior, clear of agents and bases."""
+    """Scatter NPCs over the interior on 32-px cells free of walls, at
+    least three such cells (Chebyshev) from every agent and base, which
+    also keeps them clear of those footprints."""
+    if not cfg.n_npcs:
+        return []  # sampling none draws nothing from the stream
     lo, hi = 2, (MAP_SIZE // MOVE_STEP) - 3  # cells 2..13 of 0..15
-    candidates = [
+    far = 3 * MOVE_STEP
+    near = {
+        (cx, cy)
+        for _, q in placed
+        for cy in range((q.y - far) // MOVE_STEP + 1, -(-(q.y + far) // MOVE_STEP))
+        for cx in range((q.x - far) // MOVE_STEP + 1, -(-(q.x + far) // MOVE_STEP))
+    }
+    free = [
         Pos(cx * MOVE_STEP, cy * MOVE_STEP)
         for cy in range(lo, hi + 1)
         for cx in range(lo, hi + 1)
-    ]
-    free = [
-        p
-        for p in candidates
-        if _collides(p, placed, walls) is None
-        and all(
-            max(abs(p.x - q.x), abs(p.y - q.y)) >= 3 * MOVE_STEP for _, q in placed
-        )
+        if (cx, cy) not in near
+        and not walls.overlaps_rect(cx * MOVE_STEP, cy * MOVE_STEP, TANK_SIZE, TANK_SIZE)
     ]
     if cfg.n_npcs > len(free):
         raise StageLoadError(
             f"cannot place {cfg.n_npcs} NPC tanks; only {len(free)} free cells"
         )
     return rng.sample(free, cfg.n_npcs)
+
+
+def _keep_out_rows(placed: list[_Placed]) -> list[int]:
+    """Per lattice row, the mask of cells no wall cluster may cover: each
+    NPC footprint, and each agent and base footprint grown by one tank
+    length so no spawn is boxed in."""
+    rows = [0] * WALL_LATTICE
+    for name, pos in placed:
+        m = 0 if name.startswith("npc") else TANK_SIZE
+        x0, y0, x1, y1 = pos.x - m, pos.y - m, pos.x + TANK_SIZE + m, pos.y + TANK_SIZE + m
+        # the cells that intersect the half-open rect [x0, x1) x [y0, y1)
+        cx0, cx1 = max(0, x0 // WALL_SIZE), min(WALL_LATTICE - 1, (x1 - 1) // WALL_SIZE)
+        span = (2 << cx1) - (1 << cx0)
+        for cy in range(max(0, y0 // WALL_SIZE), min(WALL_LATTICE - 1, (y1 - 1) // WALL_SIZE) + 1):
+            rows[cy] |= span
+    return rows
 
 
 def _scatter_walls(
@@ -406,27 +434,32 @@ def _scatter_walls(
 ) -> None:
     """Drop rectangular wall clusters until the density budget is spent.
 
-    Keep-out: one tank-length margin around agents and bases so no spawn
-    is boxed in; NPC tanks only reserve their own footprint, so clutter
-    lands among them too and fire lanes stay short.
+    Each attempt draws a 2-4 x 2-4 cell cluster and its top-left cell, as
+    four ``randint`` calls would, and drops it when it meets the keep-out
+    mask (``_keep_out_rows``): NPC tanks reserve only their own footprint,
+    so clutter lands among them too and fire lanes stay short.
     """
     budget = int(cfg.wall_density * WALL_LATTICE * WALL_LATTICE)
-    npcs = [p for p in placed if p.name.startswith("npc")]
-    spawns = [p for p in placed if not p.name.startswith("npc")]
-    m = TANK_SIZE  # keep-out margin around spawns
+    keep_out = _keep_out_rows(placed)
+    # reach[h][cy]: the keep-out cells of rows cy .. cy + h - 1
+    reach = {h: [reduce(or_, keep_out[cy:cy + h]) for cy in range(WALL_LATTICE + 1 - h)]
+             for h in (2, 3, 4)}
+    getrandbits = rng.getrandbits
 
-    attempts = 0
-    while len(grid) < budget and attempts < 1200:
-        attempts += 1
-        w = rng.randint(2, 4)
-        h = rng.randint(2, 4)
-        cx = rng.randint(0, WALL_LATTICE - w)
-        cy = rng.randint(0, WALL_LATTICE - h)
-        x, y, pw, ph = cx * WALL_SIZE, cy * WALL_SIZE, w * WALL_SIZE, h * WALL_SIZE
-        if first_overlapping(npcs, x, y, pw, ph) or first_overlapping(
-            spawns, x - m, y - m, pw + 2 * m, ph + 2 * m
-        ):
-            continue
-        for dy in range(h):
-            for dx in range(w):
-                grid.add(cx + dx, cy + dy)
+    def below(n: int) -> int:
+        # CPython's Random.randrange(n): redraw n.bit_length() bits until < n
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    for _ in range(1200):
+        if len(grid) >= budget:
+            break
+        w = 2 + below(3)
+        h = 2 + below(3)
+        cx = below(WALL_LATTICE + 1 - w)
+        cy = below(WALL_LATTICE + 1 - h)
+        if not reach[h][cy] & ((1 << w) - 1) << cx:
+            grid.fill(cx, cy, w, h)

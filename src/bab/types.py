@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cache
 from types import UnionType
-from typing import Iterator, NamedTuple, Union, get_args, get_origin, get_type_hints
+from typing import Iterable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 MAP_SIZE = 512
 TANK_SIZE = 32
@@ -167,52 +167,77 @@ class Base:
 class WallGrid:
     """Occupancy of the 64x64 lattice of 8x8 wall cells.
 
-    ``cells`` is read-only to callers: change it only through ``add`` and
-    ``remove``. Each of them drops its column's entry in the text cache
-    that ``cells_text`` fills, so no caller can leave stale text behind.
-    The cache is not world state: ``world_hash`` reads ``cells`` only.
+    Cell (cx, cy) is bit ``cx`` of row mask ``cy`` and bit ``cy`` of
+    column mask ``cx``; ``add``, ``remove`` and ``fill`` keep both in
+    step with the cell count, so every query is a few integer operations
+    on one row or column. ``cells`` is a read-only set view derived from
+    the masks. ``cells_text`` caches each column's text under the column
+    and the row subset it selects, which names the cells themselves, so
+    no edit can leave stale text behind. The cache is not world state:
+    ``pack`` reads the masks only.
     """
 
-    def __init__(self, cells: set[tuple[int, int]] | None = None) -> None:
-        self.cells: set[tuple[int, int]] = set(cells or ())
-        # column -> (its present rows as a bitmask, {row subset: text})
-        self._columns: dict[int, tuple[int, dict[int, str]]] = {}
+    def __init__(self, cells: Iterable[tuple[int, int]] | None = None) -> None:
+        self._rows = [0] * WALL_LATTICE
+        self._cols = [0] * WALL_LATTICE
+        self._count = 0
+        # (row subset << 6 | column) -> text
+        self._texts: dict[int, str] = {}
+        for cx, cy in cells or ():
+            self.add(cx, cy)
+
+    @property
+    def cells(self) -> frozenset[tuple[int, int]]:
+        return frozenset((cx, cy) for cx, col in enumerate(self._cols)
+                         for cy in range(WALL_LATTICE) if col >> cy & 1)
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return self._count
 
     def __contains__(self, cell: tuple[int, int]) -> bool:
-        return cell in self.cells
+        cx, cy = cell
+        return (0 <= cx < WALL_LATTICE and 0 <= cy < WALL_LATTICE
+                and bool(self._rows[cy] >> cx & 1))
 
     def add(self, cx: int, cy: int) -> None:
-        self.cells.add((cx, cy))
-        self._columns.pop(cx, None)
+        if not self._rows[cy] >> cx & 1:
+            self._rows[cy] |= 1 << cx
+            self._cols[cx] |= 1 << cy
+            self._count += 1
 
     def remove(self, cx: int, cy: int) -> None:
-        self.cells.discard((cx, cy))
-        self._columns.pop(cx, None)
+        if self._rows[cy] >> cx & 1:
+            self._rows[cy] &= ~(1 << cx)
+            self._cols[cx] &= ~(1 << cy)
+            self._count -= 1
+
+    def fill(self, cx: int, cy: int, w: int, h: int) -> None:
+        """Add the w x h block of cells whose top-left cell is (cx, cy)."""
+        block = ((1 << w) - 1) << cx
+        rows = self._rows
+        for y in range(cy, cy + h):
+            self._count += (block & ~rows[y]).bit_count()
+            rows[y] |= block
+        span = ((1 << h) - 1) << cy
+        for x in range(cx, cx + w):
+            self._cols[x] |= span
 
     def cells_text(self, xs: range, ys: range) -> str:
         """The pixel origins "(x, y)" of the present cells in columns
-        ``xs`` and rows ``ys``, x-major, joined by ", ".
-
-        Each column's text is cached under the subset of its present rows
-        that ``ys`` selects, so windows that select the same cells share
-        one entry and an empty selection needs none."""
+        ``xs`` and rows ``ys``, x-major, joined by ", ". Windows that
+        select the same cells of a column share its cached text, and an
+        empty selection needs none."""
         rows = (1 << ys.stop) - (1 << ys.start) if ys else 0
+        cols, cache = self._cols, self._texts
         texts = []
         for cx in xs:
-            column = self._columns.get(cx)
-            if column is None:
-                present = sum(1 << cy for cy in range(WALL_LATTICE) if (cx, cy) in self.cells)
-                column = self._columns[cx] = (present, {})
-            present, cached = column
-            selected = present & rows
+            selected = cols[cx] & rows
             if selected:
-                text = cached.get(selected)
+                key = selected << 6 | cx
+                text = cache.get(key)
                 if text is None:
                     x = cx * WALL_SIZE
-                    text = cached[selected] = ", ".join(
+                    text = cache[key] = ", ".join(
                         f"({x}, {cy * WALL_SIZE})" for cy in ys if selected >> cy & 1
                     )
                 texts.append(text)
@@ -220,22 +245,48 @@ class WallGrid:
 
     def cell_at(self, x: int, y: int) -> tuple[int, int] | None:
         """Return the present wall cell containing pixel (x, y), if any."""
-        cell = (x // WALL_SIZE, y // WALL_SIZE)
-        return cell if cell in self.cells else None
+        cx, cy = x // WALL_SIZE, y // WALL_SIZE
+        if 0 <= cx < WALL_LATTICE and 0 <= cy < WALL_LATTICE and self._rows[cy] >> cx & 1:
+            return (cx, cy)
+        return None
 
-    def cells_in_rect(self, x: int, y: int, w: int, h: int) -> Iterator[tuple[int, int]]:
-        """Present wall cells intersecting the half-open rect [x, x+w) x [y, y+h)."""
+    def first_in_rect(self, x: int, y: int, w: int, h: int) -> tuple[int, int] | None:
+        """The first present wall cell, row-major, that intersects the
+        half-open pixel rect [x, x+w) x [y, y+h); None when there is none."""
         cx0 = max(0, x // WALL_SIZE)
-        cy0 = max(0, y // WALL_SIZE)
         cx1 = min(WALL_LATTICE - 1, (x + w - 1) // WALL_SIZE)
+        if cx1 < cx0:
+            return None
+        span = (2 << cx1) - (1 << cx0)
+        cy0 = max(0, y // WALL_SIZE)
         cy1 = min(WALL_LATTICE - 1, (y + h - 1) // WALL_SIZE)
+        rows = self._rows
         for cy in range(cy0, cy1 + 1):
-            for cx in range(cx0, cx1 + 1):
-                if (cx, cy) in self.cells:
-                    yield (cx, cy)
+            hit = rows[cy] & span
+            if hit:
+                return ((hit & -hit).bit_length() - 1, cy)
+        return None
 
     def overlaps_rect(self, x: int, y: int, w: int, h: int) -> bool:
-        return next(self.cells_in_rect(x, y, w, h), None) is not None
+        return self.first_in_rect(x, y, w, h) is not None
+
+    def pack(self) -> bytes:
+        """The cell count as a little-endian int32, then each cell's (cx,
+        cy) as two little-endian uint16, x-major: the order of
+        ``sorted(cells)``. Indices are below 256, so a cell packs as the
+        four bytes cx, 0, cy, 0."""
+        cols = self._cols
+        masks = b"".join(col.to_bytes(WALL_LATTICE // 8, "little") for col in cols)
+        out = bytearray(4 * self._count)
+        out[0::4] = b"".join([bytes((cx,)) * col.bit_count() for cx, col in enumerate(cols)])
+        out[2::4] = b"".join([_BYTE_ROWS[i % 8][b] for i, b in enumerate(masks)])
+        return struct.pack("<i", self._count) + out
+
+
+# _BYTE_ROWS[i][b]: the rows, one byte each, of the bits set in byte b at
+# byte i of a column mask
+_BYTE_ROWS = [[bytes(8 * i + r for r in range(8) if b >> r & 1) for b in range(256)]
+              for i in range(WALL_LATTICE // 8)]
 
 
 @dataclass(frozen=True)
@@ -458,10 +509,7 @@ class WorldState:
         for b in sorted(self.bases.values(), key=lambda b: b.id):
             pack("4iBB", b.id, b.team, b.pos.x, b.pos.y, b.destroyed, b.solid)
 
-        cells = sorted(self.walls.cells)
-        pack("i", len(cells))
-        for cx, cy in cells:
-            pack("2H", cx, cy)
+        buf.extend(self.walls.pack())
 
         pairs = sorted(self.coop_pairs)
         pack("i", len(pairs))

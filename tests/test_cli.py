@@ -171,6 +171,29 @@ def test_override_of_wrong_type_is_a_config_error(tmp_path, capsys):
         assert not out_dir.exists()  # no episode ran, no failures.txt
 
 
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+def test_reply_with_a_unicode_line_break_runs_verifies_and_reports(tmp_path, capsys, char):
+    # str.splitlines breaks at these characters, and both the log and a
+    # transcript hold them raw inside a JSON string
+    cfg = tmp_path / "stage.yaml"
+    cfg.write_text("turns: 3\n", encoding="utf-8")
+    reply = f"#Operation: #Move_up#{char}ok"
+    transcript = tmp_path / "replies.jsonl"
+    transcript.write_text((json.dumps(reply, ensure_ascii=False) + "\n") * 3, encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--runs", "1", "--primary-model",
+                   f"canned:{transcript}", "--stage-config", str(cfg),
+                   "--out", str(out_dir)) == EXIT_OK
+    log = next(out_dir.glob("*.jsonl"))
+    assert char in log.read_text(encoding="utf-8")
+    assert [r.reply for r in read_log(log).turns] == [reply] * 3
+    capsys.readouterr()
+    assert run_cli("verify", str(log)) == EXIT_OK
+    assert "PASS" in capsys.readouterr().out
+    assert run_cli("report", str(out_dir)) == EXIT_OK
+    assert "skipping" not in capsys.readouterr().err
+
+
 def test_accepted_topology_override_runs_verifies_and_reports(tmp_path, capsys):
     # stage 7 routes requests both ways by default; intra_team drops the
     # cross-team request that agent 1 (team 0) sends to agent 3 (team 1)
