@@ -3,8 +3,10 @@
 A request lands in the recipient's mailbox and surfaces in their next
 observation. Whether the recipient accepts is inferred from their next
 cooperation command: a request back to the proposer or #Keep_coop# means
-accepted; #Stop_coop# or #No_coop# means rejected. Accepted pairs live
-in the world's active-pair set until one side stops.
+accepted; #Stop_coop# or #No_coop# means rejected. The world's message
+history is the one record: a pair cooperates while a message between
+them stands accepted, and #Stop_coop# marks every accepted message that
+names the sender stopped.
 
 The stage topology gates delivery: intra-team stages route only between
 teammates, inter-team only across teams, hybrid stages allow both. With
@@ -55,11 +57,13 @@ def route_coop(
         if coop.kind is CoopKind.REQUEST:
             events.append(_route_request(world, agent_id, coop))
         elif coop.kind is CoopKind.STOP:
-            removed = _drop_pairs(world, agent_id)
-            if removed:
+            stopped = _accepted(world, agent_id)
+            for msg in stopped:
+                msg.disposition = Disposition.STOPPED
+            if stopped:
                 events.append(_event(world, "stop", agent_id))
         elif coop.kind is CoopKind.KEEP:
-            if _active_pairs(world, agent_id):
+            if _accepted(world, agent_id):
                 events.append(_event(world, "keep", agent_id))
     return events
 
@@ -83,11 +87,7 @@ def _settle_pending(world: WorldState, agent_id: int, coop: CoopCommand) -> list
         accepted = accepting and (
             coop.kind is CoopKind.KEEP or coop.to == msg.from_id
         )
-        if accepted:
-            msg.disposition = Disposition.ACCEPTED
-            world.coop_pairs.add(_pair(agent_id, msg.from_id))
-        else:
-            msg.disposition = Disposition.REJECTED
+        msg.disposition = Disposition.ACCEPTED if accepted else Disposition.REJECTED
         events.append(_event(world, "accept" if accepted else "reject", agent_id,
                              to=msg.from_id))
     return events
@@ -106,18 +106,15 @@ def _route_request(world: WorldState, sender_id: int, coop: CoopCommand) -> dict
 
 
 def _drop_reason(world: WorldState, sender_id: int, to_id: int | None) -> str | None:
-    sender = world.tanks[sender_id]
-    if not sender.coop_capable:
-        return "sender lacks cooperation capability"
+    # senders are live agents on a stage whose topology is not none: replies
+    # come from live agents only, and only cooperation stages parse a coop line
     recipient = world.tanks.get(to_id) if to_id is not None else None
     if recipient is None or not recipient.alive or recipient.kind is not TankKind.AGENT:
         return "recipient is not a live agent"
     if recipient.id == sender_id:
         return "self-addressed request"
     topology = world.config.coop_topology
-    same_team = sender.team == recipient.team
-    if topology is CoopTopology.NONE:
-        return "stage has no cooperation"
+    same_team = world.tanks[sender_id].team == recipient.team
     if topology is CoopTopology.INTRA_TEAM and not same_team:
         return "cross-team request in an intra-team stage"
     if topology is CoopTopology.INTER_TEAM and same_team:
@@ -125,19 +122,7 @@ def _drop_reason(world: WorldState, sender_id: int, to_id: int | None) -> str | 
     return None
 
 
-def _pair(a: int, b: int) -> tuple[int, int]:
-    return (a, b) if a < b else (b, a)
-
-
-def _active_pairs(world: WorldState, agent_id: int) -> list[tuple[int, int]]:
-    return [p for p in world.coop_pairs if agent_id in p]
-
-
-def _drop_pairs(world: WorldState, agent_id: int) -> list[tuple[int, int]]:
-    dropped = _active_pairs(world, agent_id)
-    for p in dropped:
-        world.coop_pairs.discard(p)
-        for msg in world.coop_history:
-            if msg.disposition is Disposition.ACCEPTED and _pair(msg.from_id, msg.to_id) == p:
-                msg.disposition = Disposition.STOPPED
-    return dropped
+def _accepted(world: WorldState, agent_id: int) -> list[CoopMessage]:
+    """The accepted messages that name the agent, as sender or recipient."""
+    return [m for m in world.coop_history
+            if m.disposition is Disposition.ACCEPTED and agent_id in (m.from_id, m.to_id)]

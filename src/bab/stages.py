@@ -98,6 +98,12 @@ NAV_BASE_ANCHOR = Pos(448, 64)
 # in another's fire lane at load time.
 BASE_CORNERS = [Pos(64, 448), Pos(448, 64), Pos(96, 32), Pos(416, 480)]
 
+# Combat stages: each team's agents spawn at these (x, y) offsets from
+# their base, in whole moves away from its corner, one per agent. They are
+# diagonal only, clear of the base's wall ring: no agent starts inside its
+# own base's fire lane.
+AGENT_OFFSETS = [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3), (2, 3), (3, 2)]
+
 _CENTER = MAP_SIZE // 2
 
 @dataclass(frozen=True)
@@ -199,6 +205,10 @@ def _validate_config(cfg: StageConfig) -> None:
             raise StageLoadError("combat stages need two bases or more, one per team")
         if cfg.n_bases > len(BASE_CORNERS):
             raise StageLoadError(f"at most {len(BASE_CORNERS)} bases supported")
+        largest = -(-cfg.n_agents // cfg.n_teams)  # the first team's size
+        if largest > len(AGENT_OFFSETS):
+            raise StageLoadError(f"too many agents for team 0: {largest} "
+                                 f"(max {len(AGENT_OFFSETS)} per team)")
     if not 0.0 <= cfg.wall_density <= 0.45:
         raise StageLoadError("wall_density must be in [0, 0.45]")
     if cfg.spawn_jitter_cells < 0:
@@ -249,7 +259,6 @@ def load_stage(
             pos=pos,
             facing=_face_outward(pos),
             health=AGENT_HEALTH,
-            coop_capable=True,
         )
         placed.append(_Placed(f"agent {agent_id}", pos))
 
@@ -309,19 +318,12 @@ def _agent_anchor(cfg: StageConfig, bases: dict[int, Base], team: int, index: in
     base = next(b for b in bases.values() if b.team == team)
     sx = 1 if base.pos.x < _CENTER else -1
     sy = 1 if base.pos.y < _CENTER else -1
-    # diagonal offsets only, clear of the base's wall ring: no agent
-    # starts inside its own base's fire lane
-    offsets = [
-        (2, 1), (1, 2), (2, 2), (3, 1), (1, 3), (3, 3), (2, 3), (3, 2),
-    ]
     rank = sum(
         1
         for i in range(index)
         if team_of_agent(i, cfg.n_agents, cfg.n_teams) == team
     )
-    if rank >= len(offsets):
-        raise StageLoadError(f"too many agents for team {team} (max {len(offsets)})")
-    ox, oy = offsets[rank]
+    ox, oy = AGENT_OFFSETS[rank]  # resolve_config caps a team's size
     return Pos(base.pos.x + ox * MOVE_STEP * sx, base.pos.y + oy * MOVE_STEP * sy)
 
 

@@ -140,7 +140,6 @@ class Tank:
     facing: Orientation
     health: int
     score: int = 0
-    coop_capable: bool = False
 
     @property
     def alive(self) -> bool:
@@ -392,7 +391,9 @@ class WorldState:
 
     Single-threaded by contract: exactly one mutator at a time. All
     randomness flows through the two owned streams; nothing touches the
-    global RNG.
+    global RNG. ``coop_history`` is the one record of cooperation: every
+    routed request in order, each with its disposition, from which the
+    active pairs are derived.
     """
 
     config: StageConfig
@@ -405,7 +406,6 @@ class WorldState:
     turn: int = 0
     status: EndReason | None = None
     winner_team: int | None = None
-    coop_pairs: set[tuple[int, int]] = field(default_factory=set)
     coop_history: list[CoopMessage] = field(default_factory=list)
     last_turn_targets: dict[int, int] = field(default_factory=dict)
 
@@ -416,6 +416,12 @@ class WorldState:
     @property
     def running(self) -> bool:
         return self.status is None
+
+    @property
+    def coop_pairs(self) -> frozenset[tuple[int, int]]:
+        """Pairs cooperating now, low id first: those of the accepted messages."""
+        return frozenset((min(m.from_id, m.to_id), max(m.from_id, m.to_id))
+                         for m in self.coop_history if m.disposition is Disposition.ACCEPTED)
 
     def live_tanks(self) -> list[Tank]:
         return [t for t in self.tanks.values() if t.alive]
@@ -492,17 +498,18 @@ class WorldState:
 
         pack("i", len(self.tanks))
         for t in sorted(self.tanks.values(), key=lambda t: t.id):
+            agent = t.kind is TankKind.AGENT
             pack(
                 "iBi2iB3i",
                 t.id,
-                1 if t.kind is TankKind.AGENT else 0,
+                agent,
                 -1 if t.team is None else t.team,
                 t.pos.x,
                 t.pos.y,
                 _FACING_CODES[t.facing],
                 t.health,
                 t.score,
-                1 if t.coop_capable else 0,
+                agent,  # cooperation capability: every agent has it, no NPC
             )
 
         pack("i", len(self.bases))

@@ -64,7 +64,7 @@ def make_world(
 def agent(tank_id: int, x: int, y: int, team: int = 0,
           facing: Orientation = Orientation.UP, health: int = AGENT_HEALTH) -> Tank:
     return Tank(id=tank_id, kind=TankKind.AGENT, team=team, pos=Pos(x, y),
-                facing=facing, health=health, coop_capable=True)
+                facing=facing, health=health)
 
 
 def npc(tank_id: int, x: int, y: int,

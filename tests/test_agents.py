@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import random
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -251,6 +252,29 @@ def test_remote_exhausts_budget_and_raises(stub_server):
     w = load_stage(1, 0)
     with pytest.raises(AgentError, match="after 4 attempts"):
         policy.decide("prompt", w, 1)
+
+
+def test_remote_retries_a_null_reply_text(stub_server):
+    null = json.dumps({"choices": [{"message": {"content": None}}]})
+    spec = AgentSpec(backend="remote", model="m", base_url=stub_server, retries=1)
+    policy = RemotePolicy(spec, backoff_base=0.01)
+    w = load_stage(1, 0)
+    _StubHandler.script = [(200, null), (200, good_body("#Operation: #Move_up#"))]
+    assert policy.decide("prompt", w, 1).attempt_count == 2
+    _StubHandler.script = [(200, null), (200, null)]
+    with pytest.raises(AgentError, match="after 2 attempts: missing assistant text"):
+        policy.decide("prompt", w, 1)
+
+
+def test_remote_with_nothing_listening_fails_after_its_retries():
+    with socket.socket() as sock:  # a loopback port that no one listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    spec = AgentSpec(backend="remote", model="m", base_url=f"http://127.0.0.1:{port}",
+                     retries=2)
+    policy = RemotePolicy(spec, backoff_base=0.01)
+    with pytest.raises(AgentError, match="after 3 attempts: .*[Rr]efused"):
+        policy.decide("prompt", load_stage(1, 0), 1)
 
 
 def test_remote_sends_chat_payload_with_split_prompt(stub_server, monkeypatch):

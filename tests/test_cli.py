@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from bab.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFY_FAIL, main
+from bab.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAIL, main
 from bab.replay import read_log
 
 
@@ -169,6 +169,62 @@ def test_override_of_wrong_type_is_a_config_error(tmp_path, capsys):
                        "--stage-config", str(cfg), "--out", str(out_dir)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
         assert not out_dir.exists()  # no episode ran, no failures.txt
+
+
+def test_team_over_the_spawn_offsets_is_a_config_error(tmp_path, capsys):
+    # the cap depends on the config alone, so no seed is tried
+    cfg = tmp_path / "stage.yaml"
+    cfg.write_text("agents: 9\nteams: 1\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "3", "--runs", "2", "--stage-config", str(cfg),
+                   "--out", str(out_dir)) == EXIT_CONFIG
+    assert "too many agents for team 0: 9 (max 8 per team)" in capsys.readouterr().err
+    assert not out_dir.exists()  # no log, no failures.txt
+
+
+def test_seed_file_that_is_empty_or_missing(tmp_path, capsys):
+    seeds = tmp_path / "seeds.txt"
+    seeds.write_text("\n", encoding="utf-8")
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--seeds", str(seeds),
+                   "--out", str(out_dir)) == EXIT_CONFIG
+    assert "is empty" in capsys.readouterr().err
+    assert run_cli("run", "--stage", "1", "--seeds", str(tmp_path / "missing.txt"),
+                   "--out", str(out_dir)) == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_canned_transcript_that_is_missing_fails_the_episodes(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--runs", "1", "--primary-model",
+                   f"canned:{tmp_path / 'missing.jsonl'}", "--out", str(out_dir)) == EXIT_IO
+    assert "some episodes failed" in capsys.readouterr().err
+    assert (out_dir / "failures.txt").exists()
+
+
+def test_empty_log_fails_verify(tmp_path, capsys):
+    log = tmp_path / "empty.jsonl"
+    log.write_text("", encoding="utf-8")
+    assert run_cli("verify", str(log)) == EXIT_VERIFY_FAIL
+    assert "missing header record" in capsys.readouterr().out
+
+
+def test_report_of_only_incomplete_logs_is_a_config_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert run_cli("run", "--stage", "1", "--runs", "1", "--out", str(out_dir)) == EXIT_OK
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    (logs / "empty.jsonl").write_text("", encoding="utf-8")
+    lines = next(out_dir.glob("*.jsonl")).read_text(encoding="utf-8").splitlines(True)
+    (logs / "cut.jsonl").write_text("".join(lines[:-1]), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("report", str(logs)) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "skipping cut.jsonl: log has no end record" in err
+    assert "skipping empty.jsonl:" in err and "missing header record" in err
+    assert "no complete episodes found" in err
+    assert not (logs / "episodes.csv").exists()
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])

@@ -466,10 +466,12 @@ def test_parse_request_coop_variants():
 
 
 def test_malformed_coop_line_keeps_action_format_ok():
-    raw = "#Attack operation: Target 3: #Shoot#\n#Cooperation operation: maybe later"
-    p = parse_response(5, raw)
-    assert p.format_ok and p.action is Action.SHOOT
-    assert p.coop is None
+    # a request with no recipient id is no cooperation command either
+    for coop_line in ("maybe later", "#Request_coop# help me"):
+        raw = f"#Attack operation: Target 3: #Shoot#\n#Cooperation operation: {coop_line}"
+        p = parse_response(5, raw)
+        assert p.format_ok and p.action is Action.SHOOT and p.target_id == 3
+        assert p.coop is None
 
 
 def test_wrong_marker_for_stage_is_invalid():
@@ -635,11 +637,25 @@ def test_rejection_inferred_from_no_coop():
 
 def test_stop_coop_clears_active_pairs():
     w = coop_world("intra")
-    w.coop_pairs.add((1, 2))
     actions = noop_actions(w)
-    actions[1] = parsed_coop(CoopCommand(CoopKind.STOP))
+    actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 2, "plan C"))
     route_coop(w, actions, True)
+    step_turn(w, actions)
+    follow = noop_actions(w)
+    follow[2] = parsed_coop(CoopCommand(CoopKind.REQUEST, 1, "agreed"))
+    route_coop(w, follow, True)
+    assert w.coop_pairs == {(1, 2)}
+
+    stop = noop_actions(w)
+    stop[1] = parsed_coop(CoopCommand(CoopKind.STOP))
+    events = route_coop(w, stop, True)
+    assert [e["event"] for e in events] == ["stop"]
     assert w.coop_pairs == set()
+    # 2's request of this turn is not seen yet, so it stays pending
+    assert [m.disposition for m in w.coop_history] == [Disposition.STOPPED,
+                                                       Disposition.PENDING]
+    with pytest.raises(AttributeError):
+        w.coop_pairs.add((1, 2))  # derived from the history, never stored
 
 
 def test_route_disabled_discards_everything():
@@ -649,6 +665,44 @@ def test_route_disabled_discards_everything():
     events = route_coop(w, actions, False)
     assert events == []
     assert w.coop_history == [] and w.coop_pairs == set()
+
+
+# (stage, seed) -> world_hash after COOP_SCRIPT, which leaves one message of
+# each disposition and one active pair, so the hash's pair and message
+# sections are both pinned
+COOP_HASH_PINS = {
+    (5, 3): "1bd829e4a1acf9887e01b88532c7a13cc72102a8be1fe638c62f93770ecf5054",
+    (7, 4): "2059bbe394b5b591f221ed06ac084ccfac9e7620ed9b537cc3f8052d7790706b",
+}
+
+# turn -> {agent: cooperation command}; every other live agent sends none
+COOP_SCRIPT = [
+    {1: CoopCommand(CoopKind.REQUEST, 2, "push left"), 3: CoopCommand(CoopKind.REQUEST, 4, "hold")},
+    {2: CoopCommand(CoopKind.KEEP), 4: NO_COOP},  # 2 accepts 1; 4 rejects 3
+    {1: CoopCommand(CoopKind.STOP), 3: CoopCommand(CoopKind.REQUEST, 4, "again")},
+    {4: CoopCommand(CoopKind.REQUEST, 3, "with you")},  # accepts 3, asks back
+]
+
+
+@pytest.mark.parametrize("case", sorted(COOP_HASH_PINS), ids=lambda c: f"stage{c[0]}-seed{c[1]}")
+def test_world_hash_with_cooperation_state_is_pinned(case):
+    stage_id, seed = case
+    w = load_stage(stage_id, seed)
+    events = []
+    for commands in COOP_SCRIPT:
+        replies = {a.id: format_reply(stage_id, Action.SHOOT, 0, commands.get(a.id))
+                   for a in w.live_agents()}
+        events += [e["event"] for e in play_turn(w, replies, True)[0]]
+    assert events == ["request", "request", "accept", "keep", "reject", "stop",
+                      "request", "accept", "request"]
+    assert [(m.from_id, m.to_id, m.disposition) for m in w.coop_history] == [
+        (1, 2, Disposition.STOPPED),
+        (3, 4, Disposition.REJECTED),
+        (3, 4, Disposition.ACCEPTED),
+        (4, 3, Disposition.PENDING),
+    ]
+    assert w.coop_pairs == {(3, 4)}
+    assert w.world_hash() == COOP_HASH_PINS[case]
 
 
 # ----------------------------------------------------------------------

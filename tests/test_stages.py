@@ -138,8 +138,15 @@ def test_override_validation_errors():
     with pytest.raises(StageLoadError, match="two bases"):
         resolve_config(3, StageOverrides(bases=1))
     # values of the right type but out of range or unknown
-    with pytest.raises(StageLoadError, match="npcs must be >= 0"):
-        resolve_config(4, StageOverrides(npcs=-1))
+    for override, message in (
+        (StageOverrides(npcs=-1), "npcs must be >= 0"),
+        (StageOverrides(turns=0), "turns must be >= 1"),
+        (StageOverrides(agents=0), "agents and teams must be >= 1"),
+        (StageOverrides(bases=5), "at most 4 bases supported"),
+        (StageOverrides(spawn_jitter_cells=-1), "spawn_jitter_cells must be >= 0"),
+    ):
+        with pytest.raises(StageLoadError, match=f"^{message}$"):
+            resolve_config(4, override)
     with pytest.raises(StageLoadError, match=r"coop_topology must be one of \['none'"):
         resolve_config(5, StageOverrides(coop_topology="bogus"))
     # each value must have its field's type
@@ -148,6 +155,23 @@ def test_override_validation_errors():
         with pytest.raises(StageLoadError, match=f"{next(iter(bad))!r} takes"):
             StageOverrides.from_mapping(bad)
     assert StageOverrides.from_mapping({"wall_density": 0, "turns": None}).wall_density == 0
+
+
+def test_team_larger_than_its_spawn_offsets_is_refused_by_resolve_config():
+    # the first team is the largest, with ceil(agents / teams) agents
+    for stage_id, agents, teams in ((3, 9, 1), (7, 17, 2), (6, 25, 3)):
+        with pytest.raises(StageLoadError,
+                           match=r"too many agents for team 0: 9 \(max 8 per team\)"):
+            resolve_config(stage_id, StageOverrides(agents=agents, teams=teams))
+    assert resolve_config(7, StageOverrides(agents=16, teams=2)).n_agents == 16
+    # a navigation stage spawns every agent around one anchor, with no offsets
+    assert resolve_config(1, StageOverrides(agents=9)).n_agents == 9
+
+
+def test_spawn_that_collides_after_every_draw_names_what_it_hits():
+    # no jitter: all 100 draws land on the anchor, which agent 1 holds
+    with pytest.raises(StageLoadError, match="^agent 2: spawn collides with agent 1$"):
+        load_stage(1, 0, StageOverrides(agents=2, spawn_jitter_cells=0))
 
 
 def test_goal_is_not_an_override():
@@ -181,12 +205,6 @@ def test_team_assignment_blocks_first_team_first():
 def test_obstacle_free_override_has_no_walls():
     w = load_stage(1, 5, StageOverrides(wall_density=0.0))
     assert len(w.walls) == 0
-
-
-def test_agents_coop_capable_npcs_not():
-    w = load_stage(6, 2)
-    for t in w.tanks.values():
-        assert t.coop_capable == (t.kind is TankKind.AGENT)
 
 
 def test_importing_bab_loads_no_yaml():
