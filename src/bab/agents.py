@@ -98,9 +98,10 @@ class ChatExchange:
 def parse_model_name(name: str, base_url: str = "", role: str = "primary") -> AgentSpec:
     """Map a CLI model name onto a backend spec.
 
-    ``random``, ``random:SEED``, ``greedy`` and ``canned:PATH`` select
-    local backends; anything else is a remote chat model served at
-    ``base_url`` (or BAB_BASE_URL), an http:// or https:// URL.
+    ``random``, ``random:SEED``, ``greedy`` and ``canned:PATH`` (an
+    existing transcript file) select local backends; anything else is a
+    remote chat model served at ``base_url`` (or BAB_BASE_URL), an
+    http:// or https:// URL.
     """
     if name == "greedy":
         return AgentSpec(backend="greedy", role=role)
@@ -109,7 +110,10 @@ def parse_model_name(name: str, base_url: str = "", role: str = "primary") -> Ag
     if name.startswith("random:"):
         return AgentSpec(backend="random", role=role, seed=int(name.split(":", 1)[1]))
     if name.startswith("canned:"):
-        return AgentSpec(backend="canned", role=role, transcript_path=name.split(":", 1)[1])
+        path = name.split(":", 1)[1]
+        if not Path(path).is_file():
+            raise AgentError(f"canned transcript {path!r} is not a file")
+        return AgentSpec(backend="canned", role=role, transcript_path=path)
     url = base_url or os.environ.get(BASE_URL_ENV, "")
     if not url:
         raise AgentError(

@@ -2,8 +2,9 @@
 
 Subcommands: ``run`` (play a stage over a seed list and emit logs plus
 reports), ``report`` (recompute metrics from a directory of replay
-logs), ``verify`` (re-simulate a log and compare), and ``stages``
-(print the built-in stage settings).
+logs, rewrite both of its reports, ``episodes.csv`` and
+``summary.txt``, and print the summary), ``verify`` (re-simulate a log
+and compare), and ``stages`` (print the built-in stage settings).
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 suite-level I/O failure.
@@ -17,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .agents import AgentError, parse_model_name
-from .metrics import DENOMINATOR_MODES, MetricsError, aggregate, episodes_csv, summary_table
+from .metrics import DENOMINATOR_MODES, MetricsError, write_reports
 from .prompts import LOCALES
 from .replay import ReplayError, load_world, metrics_from_log, read_log, replay_verify
 from .runner import RunConfig, run_benchmark
@@ -146,8 +147,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(f"skipping {path.name}: {exc}", file=sys.stderr)
     if not episodes:
         raise ValueError("no complete episodes found")
-    (args.dir / "episodes.csv").write_text(episodes_csv(episodes), encoding="utf-8")
-    print(summary_table(aggregate(episodes)), end="")
+    print(write_reports(episodes, args.dir), end="")
     return EXIT_OK
 
 

@@ -8,8 +8,14 @@ objective at decision time; by default only move turns enter the
 denominator (shooting is neither right nor wrong), with the
 all-formatted-turns denominator available behind a flag.
 
-All functions are pure over turn records, so recomputing from a replay
-log reproduces live-run values exactly.
+``SCORES`` lists the five per-episode metrics (F Dis, F Acc, M Acc,
+Score and goal completion) once, in order: the end record, the columns
+of ``episodes.csv`` and the stage means all read it. ``write_reports``
+writes a suite's ``episodes.csv`` and ``summary.txt``, for ``bab run``
+and ``bab report`` alike.
+
+All other functions are pure over turn records, so recomputing from a
+replay log reproduces live-run values exactly.
 """
 
 from __future__ import annotations
@@ -17,12 +23,16 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from pathlib import Path
 from statistics import mean
 
 from .stages import is_navigation
 from .types import MOVE_DIRECTIONS, MOVE_STEP, Action, Pos, TurnRecord
 
 DENOMINATOR_MODES = ("moves", "formatted")
+
+# the per-episode metrics, in the order that every report lists them
+SCORES = ("f_dis", "f_acc", "m_acc", "score", "goal_completion")
 
 
 class MetricsError(Exception):
@@ -84,6 +94,12 @@ def goal_completion(f_dis: float, initial_distance: float) -> float:
     return max(-1.0, min(1.0, f_dis / initial_distance))
 
 
+def mean_of(values) -> float | None:
+    """The mean of the values that are not None; None when none is left."""
+    present = [v for v in values if v is not None]
+    return mean(present) if present else None
+
+
 # ----------------------------------------------------------------------
 # per-episode rollup
 # ----------------------------------------------------------------------
@@ -95,7 +111,6 @@ class AgentMetrics:
     f_acc: float
     m_acc: float | None
     score: int
-    initial_distance: float
     goal_completion: float | None
 
 
@@ -130,7 +145,10 @@ def compute_episode(
     """Roll per-agent turn records up into one summary row.
 
     `targets` maps each agent to its distance target (the goal base on
-    navigation stages, the nearest enemy base at spawn otherwise).
+    navigation stages, the nearest enemy base at spawn otherwise). The
+    primary side's row holds the means of its agents' metrics, but its
+    score is their sum, and goal completion is kept on navigation stages
+    only.
     """
     by_agent: dict[int, list[TurnRecord]] = {}
     for r in records:
@@ -151,34 +169,18 @@ def compute_episode(
             f_acc=format_accuracy(recs),
             m_acc=move_accuracy(recs, denominator),
             score=sum(r.score_delta for r in recs),
-            initial_distance=initial,
             goal_completion=goal_completion(f_dis, initial) if initial > 0 else None,
         )
 
     primary = [per_agent[a] for a in primary_ids if a in per_agent]
     if not primary:
         raise MetricsError("no records for any primary agent")
-    m_accs = [p.m_acc for p in primary if p.m_acc is not None]
-    completions = [
-        p.goal_completion for p in primary if p.goal_completion is not None
-    ]
-    return EpisodeSummary(
-        stage_id=stage_id,
-        model=model,
-        seed=seed,
-        f_dis=mean(p.f_dis for p in primary),
-        f_acc=mean(p.f_acc for p in primary),
-        m_acc=mean(m_accs) if m_accs else None,
-        score=sum(p.score for p in primary),
-        goal_completion=(
-            mean(completions)
-            if completions and is_navigation(stage_id)
-            else None
-        ),
-        end_reason=end_reason,
-        turns=turns,
-        per_agent=per_agent,
-    )
+    rollup = {name: mean_of(getattr(p, name) for p in primary) for name in SCORES}
+    rollup["score"] = sum(p.score for p in primary)
+    if not is_navigation(stage_id):
+        rollup["goal_completion"] = None
+    return EpisodeSummary(stage_id=stage_id, model=model, seed=seed, **rollup,
+                          end_reason=end_reason, turns=turns, per_agent=per_agent)
 
 
 # ----------------------------------------------------------------------
@@ -213,22 +215,11 @@ def aggregate(episodes: list[EpisodeSummary]) -> MetricsReport:
     for ep in episodes:
         groups.setdefault((ep.model, ep.stage_id), []).append(ep)
 
-    stages = []
-    for (model, stage_id), eps in sorted(groups.items()):
-        m_accs = [e.m_acc for e in eps if e.m_acc is not None]
-        completions = [e.goal_completion for e in eps if e.goal_completion is not None]
-        stages.append(
-            StageAggregate(
-                stage_id=stage_id,
-                model=model,
-                runs=len(eps),
-                f_dis=mean(e.f_dis for e in eps),
-                f_acc=mean(e.f_acc for e in eps),
-                m_acc=mean(m_accs) if m_accs else None,
-                score=mean(e.score for e in eps),
-                goal_completion=mean(completions) if completions else None,
-            )
-        )
+    stages = [
+        StageAggregate(stage_id=stage_id, model=model, runs=len(eps),
+                       **{name: mean_of(getattr(e, name) for e in eps) for name in SCORES})
+        for (model, stage_id), eps in sorted(groups.items())
+    ]
 
     cross: dict[str, dict[str, float]] = {}
     for model in sorted({s.model for s in stages}):
@@ -244,41 +235,32 @@ def aggregate(episodes: list[EpisodeSummary]) -> MetricsReport:
     return MetricsReport(stages=stages, cross_stage_avg=cross)
 
 
-CSV_COLUMNS = (
-    "stage",
-    "model",
-    "run",
-    "f_dis",
-    "f_acc",
-    "m_acc",
-    "score",
-    "goal_completion",
-    "end_reason",
-    "turns",
-)
+CSV_COLUMNS = ("stage", "model", "run", *SCORES, "end_reason", "turns")
 
 
 def episodes_csv(episodes: list[EpisodeSummary]) -> str:
-    """Deterministic per-episode CSV (sorted by model, stage, seed)."""
+    """Deterministic per-episode CSV (sorted by model, stage, seed). A
+    rate is written to four places, a count (the score) as it is and a
+    missing value as an empty cell."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for ep in sorted(episodes, key=lambda e: (e.model, e.stage_id, e.seed)):
-        writer.writerow(
-            [
-                ep.stage_id,
-                ep.model,
-                ep.seed,
-                f"{ep.f_dis:.4f}",
-                f"{ep.f_acc:.4f}",
-                "" if ep.m_acc is None else f"{ep.m_acc:.4f}",
-                ep.score,
-                "" if ep.goal_completion is None else f"{ep.goal_completion:.4f}",
-                ep.end_reason,
-                ep.turns,
-            ]
-        )
+        scores = [getattr(ep, name) for name in SCORES]
+        writer.writerow([ep.stage_id, ep.model, ep.seed,
+                         *("" if v is None else f"{v:.4f}" if isinstance(v, float) else v
+                           for v in scores),
+                         ep.end_reason, ep.turns])
     return out.getvalue()
+
+
+def write_reports(episodes: list[EpisodeSummary], out_dir: Path) -> str:
+    """Write the episodes' ``episodes.csv`` and their ``summary.txt`` into
+    ``out_dir``; returns the summary table."""
+    table = summary_table(aggregate(episodes))
+    (out_dir / "episodes.csv").write_text(episodes_csv(episodes), encoding="utf-8")
+    (out_dir / "summary.txt").write_text(table, encoding="utf-8")
+    return table
 
 
 def summary_table(report: MetricsReport) -> str:

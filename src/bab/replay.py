@@ -9,7 +9,8 @@ field's annotation. The values nested in a turn line are typed too: its
 ``action`` is an ``Action``, and its ``coop`` and ``outcome`` are a
 ``CoopCommand`` and an ``Outcome``, records written by ``types.encode``
 as the fields that differ from their defaults and read back by the same
-``decode``. ``coop`` lines, routed cooperation events, stay dicts, since
+``decode``; so are the header's ``config``, a ``StageConfig``, and its
+``overrides``, a ``StageOverrides``. ``coop`` lines, routed cooperation events, stay dicts, since
 their ``from`` key cannot be a field name; only their integer ``turn``
 is checked. Lines are flushed as they are written, so a
 crash loses at most the turn in flight, and any prefix cut at a line
@@ -27,13 +28,14 @@ present, the whole end record.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .engine import base_objective, play_turn
-from .metrics import EpisodeSummary, MetricsError, compute_episode
+from .metrics import SCORES, EpisodeSummary, MetricsError, compute_episode
 from .stages import StageOverrides, load_stage
-from .types import DecodeError, EndReason, Pos, StageLoadError, TurnRecord, WorldState, decode
+from .types import (DecodeError, EndReason, Pos, StageConfig, StageLoadError, TurnRecord,
+                    WorldState, decode, encode)
 
 LOG_VERSION = 1
 
@@ -84,12 +86,12 @@ class HeaderRecord:
     seed: int
     targets: dict[int, Pos]  # agent id -> distance target
     primary_ids: list[int]
-    config: dict  # the StageConfig's fields
+    config: StageConfig
     layout: dict
     agents: dict  # str(agent id) -> AgentSpec.as_dict()
     locale: str
     version: int
-    overrides: dict = field(default_factory=dict)
+    overrides: StageOverrides = field(default_factory=StageOverrides)
     model: str = "unknown"
     coop_enabled: bool = True
     macc_denominator: str = "moves"
@@ -97,7 +99,8 @@ class HeaderRecord:
     def to_dict(self) -> dict:
         # json sorts keys before it writes them as strings, so sort these as strings
         targets = {str(k): v for k, v in self.targets.items()}
-        return {"kind": "header", **vars(self), "targets": targets}
+        return {"kind": "header", **vars(self), "targets": targets,
+                "config": encode(self.config), "overrides": encode(self.overrides)}
 
 
 @dataclass
@@ -128,15 +131,14 @@ def world_fields(world: WorldState) -> dict:
                   for b in sorted(world.bases.values(), key=lambda b: b.id)],
         "wall_cells": len(world.walls),
     }
-    return {"config": asdict(world.config), "primary_ids": [a.id for a in agents if a.team == 0],
+    return {"config": world.config, "primary_ids": [a.id for a in agents if a.team == 0],
             "targets": {a.id: base_objective(world, a) or a.pos for a in agents},
             "layout": layout}
 
 
 def end_record(world: WorldState, summary: EpisodeSummary) -> EndRecord:
     """The end record of a world that has ended."""
-    metrics = {k: getattr(summary, k) for k in ("f_dis", "f_acc", "m_acc", "score",
-                                                "goal_completion")}
+    metrics = {name: getattr(summary, name) for name in SCORES}
     return EndRecord(reason=world.status, winner_team=world.winner_team, turns=world.turn,
                      world_hash=world.world_hash(), metrics=metrics)
 
@@ -226,8 +228,7 @@ def load_world(header: HeaderRecord) -> WorldState:
     against the header's world-derived fields; ``ReplayError`` if it does
     not load or a field differs."""
     try:
-        overrides = StageOverrides.from_mapping(header.overrides)
-        world = load_stage(header.stage_id, header.seed, overrides)
+        world = load_stage(header.stage_id, header.seed, header.overrides)
     except StageLoadError as exc:
         raise ReplayError(f"header stage does not load: {exc}") from None
     diverged = _diverged(replace(header, **world_fields(world)), header)

@@ -5,7 +5,9 @@ backend to decide, then hand the replies to ``engine.play_turn``, the
 turn sequence that replay runs too. The primary slot is the first
 agent or the first team of agents (team 0); every other agent binds to
 the reference backend. Turn records stream to the replay log as they
-happen.
+happen. When the suite ends, ``metrics.write_reports`` writes its
+``episodes.csv`` and ``summary.txt``, as ``bab report`` rewrites them
+from the logs.
 
 Every prompt of a turn is rendered from the same world, in one
 ``prompts.render_turn`` call, before any agent is asked, so one turn's
@@ -48,7 +50,7 @@ from pathlib import Path
 
 from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_backend
 from .engine import play_turn
-from .metrics import EpisodeSummary, aggregate, episodes_csv, summary_table
+from .metrics import EpisodeSummary, write_reports
 from .prompts import render_turn
 from .replay import LOG_VERSION, HeaderRecord, ReplayWriter, episode_summary, world_fields
 from .stages import StageOverrides, load_stage
@@ -107,7 +109,7 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
         seed=seed,
         version=LOG_VERSION,
         **derived,
-        overrides=config.overrides.as_dict() if config.overrides else {},
+        overrides=config.overrides or StageOverrides(),
         agents={str(agent_id): spec.as_dict() for agent_id, spec in specs.items()},
         model=config.model_label,
         coop_enabled=config.coop_enabled,
@@ -188,7 +190,8 @@ def _safe_decide(backend, prompt: str, world: WorldState, agent_id: int) -> Chat
 
 
 def run_benchmark(configs: list[RunConfig], out_dir: str | Path) -> Path:
-    """Run every (config, seed) episode; write logs, CSV, and summary.
+    """Run every (config, seed) episode; write its log, then the suite's
+    reports with ``metrics.write_reports``.
 
     Per-episode failures are recorded and skipped; the suite carries on.
     A suite with a remote backend plays its episodes on the episode pool,
@@ -230,9 +233,7 @@ def run_benchmark(configs: list[RunConfig], out_dir: str | Path) -> Path:
         (failures if isinstance(outcome, str) else episodes).append(outcome)
 
     if episodes:
-        (out / "episodes.csv").write_text(episodes_csv(episodes), encoding="utf-8")
-        report = aggregate(episodes)
-        (out / "summary.txt").write_text(summary_table(report), encoding="utf-8")
+        write_reports(episodes, out)
     if failures:
         (out / "failures.txt").write_text("\n".join(failures) + "\n", encoding="utf-8")
     return out

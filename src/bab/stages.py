@@ -53,6 +53,7 @@ from .types import (
     WallGrid,
     WorldState,
     decode,
+    encode,
     first_overlapping,
     in_bounds,
 )
@@ -141,9 +142,6 @@ class StageOverrides:
         data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         return cls.from_mapping({} if data is None else data)
 
-    def as_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if v is not None}
-
 
 OVERRIDE_KEYS = tuple(f.name for f in fields(StageOverrides))
 
@@ -169,7 +167,7 @@ def resolve_config(stage_id: int, overrides: StageOverrides | None = None) -> St
     if stage_id not in STAGE_SETTINGS:
         raise StageLoadError(f"invalid stage id {stage_id}; expected 1..7")
     changes = {_CONFIG_FIELD.get(k, k): v
-               for k, v in (overrides or StageOverrides()).as_dict().items()}
+               for k, v in encode(overrides or StageOverrides()).items()}
     topology = changes.get("coop_topology")
     if topology is not None:
         try:

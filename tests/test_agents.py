@@ -606,8 +606,13 @@ def test_parse_model_name_forms(tmp_path, monkeypatch):
     assert parse_model_name("greedy").backend == "greedy"
     assert parse_model_name("random").backend == "random"
     assert parse_model_name("random:7").seed == 7
-    spec = parse_model_name("canned:/tmp/x.jsonl")
-    assert spec.backend == "canned" and spec.transcript_path == "/tmp/x.jsonl"
+    transcript = tmp_path / "x.jsonl"
+    transcript.write_text("", encoding="utf-8")
+    spec = parse_model_name(f"canned:{transcript}")
+    assert spec.backend == "canned" and spec.transcript_path == str(transcript)
+    for path in (tmp_path / "missing.jsonl", tmp_path):
+        with pytest.raises(AgentError, match="is not a file"):
+            parse_model_name(f"canned:{path}")
     remote = parse_model_name("gpt-x", base_url="http://h")
     assert remote.backend == "remote" and remote.base_url == "http://h"
     with pytest.raises(AgentError, match="base URL"):

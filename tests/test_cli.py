@@ -195,12 +195,12 @@ def test_seed_file_that_is_empty_or_missing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_canned_transcript_that_is_missing_fails_the_episodes(tmp_path, capsys):
+def test_canned_transcript_that_is_missing_is_a_config_error(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert run_cli("run", "--stage", "1", "--runs", "1", "--primary-model",
-                   f"canned:{tmp_path / 'missing.jsonl'}", "--out", str(out_dir)) == EXIT_IO
-    assert "some episodes failed" in capsys.readouterr().err
-    assert (out_dir / "failures.txt").exists()
+                   f"canned:{tmp_path / 'missing.jsonl'}", "--out", str(out_dir)) == EXIT_CONFIG
+    assert "is not a file" in capsys.readouterr().err
+    assert not out_dir.exists()  # no episode ran, no failures.txt
 
 
 def test_empty_log_fails_verify(tmp_path, capsys):
@@ -287,6 +287,8 @@ def test_header_override_of_wrong_type_fails_verify(tmp_path, capsys):
 
         assert run_cli("verify", str(log)) == EXIT_VERIFY_FAIL, overrides
         assert capsys.readouterr().out.startswith("FAIL:")
+        assert run_cli("report", str(out_dir)) == EXIT_CONFIG, overrides
+        assert f"skipping {log.name}:" in capsys.readouterr().err
 
 
 def test_zh_locale_run(tmp_path):

@@ -50,7 +50,7 @@ def test_header_carries_run_context(episode_log):
     assert h.stage_id == 2 and h.seed == 0
     assert h.coop_enabled is True
     assert h.primary_ids == [1]
-    assert h.config["turn_cap"] == 60
+    assert h.config.turn_cap == 60
     assert h.layout["bases"][0]["id"] == 101
     assert log.end is not None
     assert len(log.end.world_hash) == 64
@@ -155,8 +155,8 @@ def test_overrides_flow_through_header_and_verify(tmp_path):
     cfg = small_config(stage_id=4, overrides=StageOverrides(npcs=2, turns=20))
     run_episode(cfg, 1, path)
     log = read_log(path)
-    assert log.header.overrides == {"npcs": 2, "turns": 20}
-    assert log.header.config["n_npcs"] == 2
+    assert log.header.overrides == StageOverrides(npcs=2, turns=20)
+    assert log.header.config.n_npcs == 2
     assert replay_verify(log).ok
 
 

@@ -11,9 +11,11 @@ of these digests, so a refactor that keeps them keeps the reports.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 from contextlib import redirect_stdout
+from statistics import mean
 
 import pytest
 
@@ -70,3 +72,21 @@ def reports(tmp_path_factory):
 def test_report_bytes_are_pinned(reports, name):
     assert reports["digests"][name] == REPORT_PINS[name]
 
+
+def test_report_rewrites_the_summary_it_prints(reports):
+    # a report under another M Acc denominator rewrites both files
+    assert reports["summary"] == reports["printed"]
+    rows = list(csv.DictReader(io.StringIO(reports["csv"])))
+    m_accs: dict[tuple[str, str], list[float]] = {}
+    for row in rows:
+        if row["m_acc"]:
+            m_accs.setdefault((row["model"], row["stage"]), []).append(float(row["m_acc"]))
+    table = {}
+    for line in reports["summary"].splitlines()[2:]:
+        cells = line.split()
+        if len(cells) == 8:
+            table[(cells[0], cells[1])] = cells[5]
+    assert table and set(m_accs) <= set(table)
+    for key, column in table.items():
+        expected = f"{mean(m_accs[key]):.2f}" if key in m_accs else "-"
+        assert column == expected, key
