@@ -21,6 +21,7 @@ import logging
 from .parsing import ParsedAction
 from .types import (
     CoopCommand,
+    CoopEvent,
     CoopKind,
     CoopMessage,
     CoopTopology,
@@ -36,18 +37,15 @@ def route_coop(
     world: WorldState,
     turn_actions: dict[int, ParsedAction],
     coop_enabled: bool = True,
-) -> list[dict]:
-    """Apply this turn's cooperation commands; returns loggable events.
-
-    Event dicts carry: turn, event (request/keep/stop/accept/reject/drop),
-    from, and optionally to/message/reason.
-    """
+) -> list[CoopEvent]:
+    """Apply this turn's cooperation commands in agent-id order; returns
+    the routed events, one ``coop`` log line each, which replay compares
+    whole."""
     if not coop_enabled:
         return []
-    events: list[dict] = []
+    events: list[CoopEvent] = []
     for agent_id in sorted(turn_actions):
-        parsed = turn_actions[agent_id]
-        coop = parsed.coop
+        coop = turn_actions[agent_id].coop
         if coop is None:
             continue
         sender = world.tanks.get(agent_id)
@@ -61,22 +59,16 @@ def route_coop(
             for msg in stopped:
                 msg.disposition = Disposition.STOPPED
             if stopped:
-                events.append(_event(world, "stop", agent_id))
+                events.append(CoopEvent(world.turn, "stop", agent_id))
         elif coop.kind is CoopKind.KEEP:
             if _accepted(world, agent_id):
-                events.append(_event(world, "keep", agent_id))
+                events.append(CoopEvent(world.turn, "keep", agent_id))
     return events
 
 
-def _event(world: WorldState, kind: str, sender_id: int, **detail) -> dict:
-    """One loggable cooperation event; replay compares these dicts whole."""
-    return {"turn": world.turn, "event": kind, "from": sender_id, **detail}
-
-
-def _settle_pending(world: WorldState, agent_id: int, coop: CoopCommand) -> list[dict]:
+def _settle_pending(world: WorldState, agent_id: int, coop: CoopCommand) -> list[CoopEvent]:
     """Resolve requests the agent has already seen, per its command."""
-    accepting = coop.kind in (CoopKind.REQUEST, CoopKind.KEEP)
-    events: list[dict] = []
+    events: list[CoopEvent] = []
     for msg in world.coop_history:
         if (
             msg.to_id != agent_id
@@ -84,25 +76,24 @@ def _settle_pending(world: WorldState, agent_id: int, coop: CoopCommand) -> list
             or msg.turn >= world.turn
         ):
             continue
-        accepted = accepting and (
-            coop.kind is CoopKind.KEEP or coop.to == msg.from_id
-        )
+        accepted = coop.kind is CoopKind.KEEP or (
+            coop.kind is CoopKind.REQUEST and coop.to == msg.from_id)
         msg.disposition = Disposition.ACCEPTED if accepted else Disposition.REJECTED
-        events.append(_event(world, "accept" if accepted else "reject", agent_id,
-                             to=msg.from_id))
+        events.append(CoopEvent(world.turn, "accept" if accepted else "reject", agent_id,
+                                to=msg.from_id))
     return events
 
 
-def _route_request(world: WorldState, sender_id: int, coop: CoopCommand) -> dict:
+def _route_request(world: WorldState, sender_id: int, coop: CoopCommand) -> CoopEvent:
     reason = _drop_reason(world, sender_id, coop.to)
     if reason is not None:
         log.debug("dropping coop request %s->%s: %s", sender_id, coop.to, reason)
-        return _event(world, "drop", sender_id, to=coop.to, message=coop.message,
-                      reason=reason)
+        return CoopEvent(world.turn, "drop", sender_id, to=coop.to, message=coop.message,
+                         reason=reason)
     world.coop_history.append(
         CoopMessage(turn=world.turn, from_id=sender_id, to_id=coop.to, body=coop.message)
     )
-    return _event(world, "request", sender_id, to=coop.to, message=coop.message)
+    return CoopEvent(world.turn, "request", sender_id, to=coop.to, message=coop.message)
 
 
 def _drop_reason(world: WorldState, sender_id: int, to_id: int | None) -> str | None:

@@ -32,6 +32,7 @@ from .types import (
     WALL_SIZE,
     Action,
     Blocker,
+    CoopEvent,
     EndReason,
     EngineError,
     Goal,
@@ -186,7 +187,7 @@ def npc_policy(world: WorldState, npc_id: int) -> Action:
 
 
 def play_turn(world: WorldState, replies: dict[int, str],
-              coop_enabled: bool) -> tuple[list[dict], list[TurnRecord]]:
+              coop_enabled: bool) -> tuple[list[CoopEvent], list[TurnRecord]]:
     """Parse each live agent's reply, route cooperation commands, resolve
     the turn: (coop events, turn records)."""
     actions = {a_id: parse_response(world.config.stage_id, raw) for a_id, raw in replies.items()}

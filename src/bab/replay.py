@@ -1,20 +1,15 @@
 """Replay logs: self-describing JSON-lines records plus re-simulation.
 
-Each line is a JSON object tagged with its ``kind``. The ``header`` line
-is a ``HeaderRecord``, each ``turn`` line (one per live agent per turn) a
-``TurnRecord`` and the final ``end`` line an ``EndRecord``: each is its
-record's ``to_dict()``, keyed by the field names, and ``read_log`` reads
-it back with ``types.decode``, which checks every value against its
-field's annotation. The values nested in a turn line are typed too: its
-``action`` is an ``Action``, and its ``coop`` and ``outcome`` are a
-``CoopCommand`` and an ``Outcome``, records written by ``types.encode``
-as the fields that differ from their defaults and read back by the same
-``decode``; so are the header's ``config``, a ``StageConfig``, and its
-``overrides``, a ``StageOverrides``. ``coop`` lines, routed cooperation events, stay dicts, since
-their ``from`` key cannot be a field name; only their integer ``turn``
-is checked. Lines are flushed as they are written, so a
-crash loses at most the turn in flight, and any prefix cut at a line
-boundary is still parseable and verifiable up to its last complete turn.
+Each line is a JSON object tagged with its ``kind``, and the table
+``RECORDS`` names the record each kind holds: one ``HeaderRecord``, a
+``TurnRecord`` per live agent per turn, a ``CoopEvent`` per routed
+cooperation event and one ``EndRecord``. ``ReplayWriter`` writes a
+record's fields keyed by their names, a coop line and the records nested
+in a line with ``types.encode``; ``read_log`` decodes every line through
+``RECORDS`` with ``types.decode``, which checks each value against its
+field's annotation. Lines are flushed as they are written, so a crash
+loses at most the turn in flight, and any prefix cut at a line boundary
+is still parseable and verifiable up to its last complete turn.
 
 Replay loads the world that the header's stage, seed and overrides name,
 and requires the header's ``config``, ``primary_ids``, ``targets`` and
@@ -29,13 +24,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import zip_longest
 from pathlib import Path
 
 from .engine import base_objective, play_turn
 from .metrics import SCORES, EpisodeSummary, MetricsError, compute_episode
 from .stages import StageOverrides, load_stage
-from .types import (DecodeError, EndReason, Pos, StageConfig, StageLoadError, TurnRecord,
-                    WorldState, decode, encode)
+from .types import (CoopEvent, DecodeError, EndReason, Pos, StageConfig, StageLoadError,
+                    TurnRecord, WorldState, decode, encode)
 
 LOG_VERSION = 1
 
@@ -44,8 +40,9 @@ class ReplayError(Exception):
     pass
 
 
-def _dump(record: dict) -> str:
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+# json writes Pos as a list, a str enum as its value and a nested record with encode
+_dump = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ":"),
+                         default=encode).encode
 
 
 class ReplayWriter:
@@ -59,21 +56,24 @@ class ReplayWriter:
     def close(self) -> None:
         self._fh.close()
 
-    def _write(self, record: dict) -> None:
-        self._fh.write(_dump(record) + "\n")
+    def _write(self, line: dict) -> None:
+        self._fh.write(_dump(line) + "\n")
         self._fh.flush()
 
     def write_header(self, header: HeaderRecord) -> None:
-        self._write(header.to_dict())
+        # json sorts keys before it makes them strings, so key the id maps by str(id)
+        self._write({"kind": "header", **vars(header),
+                     "targets": {str(k): v for k, v in header.targets.items()},
+                     "agents": {str(k): v for k, v in header.agents.items()}})
 
     def write_turn(self, record: TurnRecord) -> None:
-        self._write(record.to_dict())
+        self._write({"kind": "turn", **vars(record)})
 
-    def write_coop(self, event: dict) -> None:
-        self._write({"kind": "coop", **event})
+    def write_coop(self, event: CoopEvent) -> None:
+        self._write({"kind": "coop", **encode(event)})
 
-    def write_end(self, world: WorldState, summary: EpisodeSummary) -> None:
-        self._write(end_record(world, summary).to_dict())
+    def write_end(self, end: EndRecord) -> None:
+        self._write({"kind": "end", **vars(end)})
 
 
 @dataclass
@@ -88,19 +88,13 @@ class HeaderRecord:
     primary_ids: list[int]
     config: StageConfig
     layout: dict
-    agents: dict  # str(agent id) -> AgentSpec.as_dict()
+    agents: dict[int, dict]  # agent id -> AgentSpec.as_dict()
     locale: str
     version: int
     overrides: StageOverrides = field(default_factory=StageOverrides)
     model: str = "unknown"
     coop_enabled: bool = True
     macc_denominator: str = "moves"
-
-    def to_dict(self) -> dict:
-        # json sorts keys before it writes them as strings, so sort these as strings
-        targets = {str(k): v for k, v in self.targets.items()}
-        return {"kind": "header", **vars(self), "targets": targets,
-                "config": encode(self.config), "overrides": encode(self.overrides)}
 
 
 @dataclass
@@ -113,8 +107,8 @@ class EndRecord:
     world_hash: str
     metrics: dict
 
-    def to_dict(self) -> dict:
-        return {"kind": "end", **vars(self)}
+
+RECORDS = {"header": HeaderRecord, "turn": TurnRecord, "coop": CoopEvent, "end": EndRecord}
 
 
 def world_fields(world: WorldState) -> dict:
@@ -157,32 +151,25 @@ def episode_summary(header: HeaderRecord, records: list[TurnRecord], reason: End
 class ReplayLog:
     header: HeaderRecord
     turns: list[TurnRecord]
-    coops: list[dict]
+    coops: list[CoopEvent]
     end: EndRecord | None
 
 
 def read_log(path: str | Path) -> ReplayLog:
-    """Read a log in the order it was written, decoding header, turn and
-    end lines into their records. Text that is not UTF-8 or not JSON, a
-    line of unknown kind, a coop line without an integer ``turn``, a first
-    line that is not the header, a second header, a line after the end
-    line, two turn lines for one (turn, agent), a header of another
-    ``version`` than ``LOG_VERSION`` or a line that does not decode
-    raises ``ReplayError``."""
+    """Read a log in the order it was written, decoding each line into the
+    record that ``RECORDS`` names for its kind. Text that is not UTF-8 or
+    not JSON, a line of unknown kind, a first line that is not the header,
+    a second header, a line after the end line, two turn lines for one
+    (turn, agent), a header of another ``version`` than ``LOG_VERSION`` or
+    a line that does not decode raises ``ReplayError``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ReplayError(f"{path}: not UTF-8 text: {exc}") from None
 
-    def decoded(cls, name: str, line_no: int, record: dict):
-        try:
-            return decode(cls, record)
-        except DecodeError as exc:
-            raise ReplayError(f"{path}: line {line_no}: {name} {exc}") from None
-
     header = end = None
     turns: list[TurnRecord] = []
-    coops: list[dict] = []
+    coops: list[CoopEvent] = []
     seen: set[tuple[int, int]] = set()
     # "\n" alone ends a record: json.dumps(ensure_ascii=False) writes
     # U+2028, U+2029 and U+0085 raw inside strings, where splitlines breaks
@@ -194,30 +181,32 @@ def read_log(path: str | Path) -> ReplayLog:
         except json.JSONDecodeError as exc:
             raise ReplayError(f"{path}: bad record on line {line_no}: {exc}") from exc
         kind = record.pop("kind", None) if isinstance(record, dict) else None
-        if kind not in ("header", "turn", "coop", "end"):
+        if type(kind) is not str or kind not in RECORDS:
             raise ReplayError(f"{path}: unknown record kind {kind!r} on line {line_no}")
-        if kind == "coop" and not isinstance(record.get("turn"), int):
-            raise ReplayError(f"{path}: coop record without a turn on line {line_no}")
         if (header is None) != (kind == "header"):
             what = "missing header record" if header is None else "second header record"
             raise ReplayError(f"{path}: {what} on line {line_no}")
         if end is not None:
             raise ReplayError(f"{path}: {kind} record after the end record on line {line_no}")
+        try:
+            rec = decode(RECORDS[kind], record)
+        except DecodeError as exc:
+            what = "header" if kind == "header" else f"{kind} record"
+            raise ReplayError(f"{path}: line {line_no}: {what} {exc}") from None
         if kind == "header":
-            header = decoded(HeaderRecord, "header", line_no, record)
+            header = rec
             if header.version != LOG_VERSION:
                 raise ReplayError(f"{path}: log version {header.version}, not {LOG_VERSION}")
         elif kind == "turn":
-            rec = decoded(TurnRecord, "turn record", line_no, record)
             if (rec.turn, rec.agent) in seen:
                 raise ReplayError(f"{path}: second turn {rec.turn} record of agent "
                                   f"{rec.agent} on line {line_no}")
             seen.add((rec.turn, rec.agent))
             turns.append(rec)
         elif kind == "coop":
-            coops.append(record)
+            coops.append(rec)
         else:
-            end = decoded(EndRecord, "end record", line_no, record)
+            end = rec
     if header is None:
         raise ReplayError(f"{path}: missing header record")
     return ReplayLog(header=header, turns=turns, coops=coops, end=end)
@@ -276,9 +265,9 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
     turns: dict[int, list[TurnRecord]] = {}
     for rec in log.turns:
         turns.setdefault(rec.turn, []).append(rec)
-    coops: dict[int, list[dict]] = {}
-    for line in log.coops:
-        coops.setdefault(line["turn"], []).append(line)
+    coops: dict[int, list[CoopEvent]] = {}
+    for event in log.coops:
+        coops.setdefault(event.turn, []).append(event)
 
     while world.status is None:
         turn = world.turn
@@ -295,8 +284,11 @@ def replay_verify(log: ReplayLog | str | Path) -> VerifyResult:
                 if replayed != recorded:
                     detail = f"agent {rec.agent}: {key} diverged ({replayed!r} != {recorded!r})"
                     return VerifyResult(False, turn, detail)
-        if events != coops.pop(turn, []):
-            return VerifyResult(False, turn, "coop lines diverged")
+        logged_events = coops.pop(turn, [])
+        if events != logged_events:  # name the first pair that differs; null for a missing one
+            ours, theirs = next(p for p in zip_longest(events, logged_events) if p[0] != p[1])
+            detail = f"coop lines diverged: logged {_dump(theirs)}, replayed {_dump(ours)}"
+            return VerifyResult(False, turn, detail)
 
     if turns or coops:
         return VerifyResult(False, world.turn, "log continues past episode end")

@@ -52,7 +52,8 @@ from .agents import AgentError, AgentSpec, ChatExchange, RemotePolicy, make_back
 from .engine import play_turn
 from .metrics import EpisodeSummary, write_reports
 from .prompts import render_turn
-from .replay import LOG_VERSION, HeaderRecord, ReplayWriter, episode_summary, world_fields
+from .replay import (LOG_VERSION, HeaderRecord, ReplayWriter, end_record, episode_summary,
+                     world_fields)
 from .stages import StageOverrides, load_stage
 from .types import TurnRecord, WorldState
 
@@ -110,7 +111,7 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
         version=LOG_VERSION,
         **derived,
         overrides=config.overrides or StageOverrides(),
-        agents={str(agent_id): spec.as_dict() for agent_id, spec in specs.items()},
+        agents={agent_id: spec.as_dict() for agent_id, spec in specs.items()},
         model=config.model_label,
         coop_enabled=config.coop_enabled,
         locale=config.locale,
@@ -168,7 +169,7 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
 
         summary = episode_summary(header, all_records, world.status, world.turn)
         if writer is not None:
-            writer.write_end(world, summary)
+            writer.write_end(end_record(world, summary))
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -346,11 +346,27 @@ class Outcome:
     reason: str | None = None
 
 
+@dataclass(frozen=True)
+class CoopEvent:
+    """A ``coop`` log line: a routed request, accept, reject, drop, keep or stop."""
+
+    turn: int
+    event: str
+    from_: int
+    to: int | None = None
+    message: str | None = None
+    reason: str | None = None
+
+
 def encode(record) -> dict:
-    """The JSON object of a record nested in a log line: each field that
-    differs from its default, keyed by the field name."""
-    return {f.name: value for f in fields(record)
+    """The JSON object of a coop line or of a record nested in a log line:
+    each field that differs from its default, keyed by its log key."""
+    return {_key(f.name): value for f in fields(record)
             if (value := getattr(record, f.name)) != f.default}
+
+
+def _key(name: str) -> str:
+    return name.removesuffix("_")  # a field's log key: "from_" escapes the keyword "from"
 
 
 @dataclass
@@ -378,11 +394,6 @@ class TurnRecord:
     error: str | None = None
     attempts: int = 0
     latency_ms: float = 0.0
-
-    def to_dict(self) -> dict:
-        # json writes Pos as a list and a str enum as its value
-        coop = None if self.coop is None else encode(self.coop)
-        return {"kind": "turn", **vars(self), "coop": coop, "outcome": encode(self.outcome)}
 
 
 @dataclass
@@ -569,25 +580,25 @@ class DecodeError(ValueError):
 
 
 def decode(cls, data: dict):
-    """The dataclass ``cls`` built from a JSON object whose keys are its
-    field names, each value checked against the field's annotation.
+    """The dataclass ``cls`` built from a JSON object keyed by its fields'
+    log keys, each value checked against the field's annotation.
     ``DecodeError`` names the missing fields that have no default, the
     first bad value, or the keys that name no field."""
     required, converters = _schema(cls)
-    missing = [name for name in required if name not in data]
+    missing = [key for key in required if key not in data]
     if missing:
         raise DecodeError(f"lacks {', '.join(missing)}")
     # keyed by the field names, not by the parsed JSON's key strings: the
     # call below matches interned keyword names by identity, far faster
     values = {}
-    for name, (convert, expected) in converters.items():
-        if name in data:
+    for key, (name, convert, expected) in converters.items():
+        if key in data:
             try:
-                values[name] = convert(data[name])
+                values[name] = convert(data[key])
             except DecodeError as exc:  # from a nested record
-                raise DecodeError(f"{name!r}: {exc}") from None
+                raise DecodeError(f"{key!r}: {exc}") from None
             except (TypeError, ValueError, KeyError, AttributeError):
-                raise DecodeError(f"{name!r} takes {expected}, not {data[name]!r}") from None
+                raise DecodeError(f"{key!r} takes {expected}, not {data[key]!r}") from None
     if len(values) < len(data):
         raise DecodeError(f"has keys that name no field: {sorted(data.keys() - converters.keys())}")
     return cls(**values)
@@ -595,10 +606,11 @@ def decode(cls, data: dict):
 
 @cache
 def _schema(cls) -> tuple[list[str], dict]:
-    """The fields ``cls`` requires, and per field (converter, what it takes)."""
+    """The required fields' log keys, and per log key (field name, converter, what it takes)."""
     hints = get_type_hints(cls)
-    return ([f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING],
-            {f.name: _converter(hints[f.name]) for f in fields(cls)})
+    return ([_key(f.name) for f in fields(cls)
+             if f.default is MISSING and f.default_factory is MISSING],
+            {_key(f.name): (f.name, *_converter(hints[f.name])) for f in fields(cls)})
 
 
 def _converter(hint) -> tuple:

@@ -264,8 +264,8 @@ def test_accepted_topology_override_runs_verifies_and_reports(tmp_path, capsys):
                    "--out", str(out_dir)) == EXIT_OK
     log = next(out_dir.glob("*.jsonl"))
     coops = read_log(log).coops
-    assert coops and {r["event"] for r in coops} == {"drop"}
-    assert {r["reason"] for r in coops} == {"cross-team request in an intra-team stage"}
+    assert coops and {r.event for r in coops} == {"drop"}
+    assert {r.reason for r in coops} == {"cross-team request in an intra-team stage"}
     assert run_cli("verify", str(log)) == EXIT_OK
     assert run_cli("report", str(out_dir)) == EXIT_OK
     assert "skipping" not in capsys.readouterr().err
@@ -425,6 +425,7 @@ TAMPERS = {
     "header-config-turn-cap": ("header", lambda h: h["config"].update(turn_cap=81)),
     "header-layout-tank-pos": ("header", _shift_first_tank),
     "header-targets-extra": ("header", lambda h: h["targets"].update({"99": [0, 0]})),
+    "header-agents-key": ("header", lambda h: h["agents"].update({"x": {}})),
     "end-turns-str": ("end", lambda end: end.update(turns=str(end["turns"]))),
     "header-version-2": ("header", _set("version", 2)),
     "not-utf8": (None, None),
@@ -436,6 +437,9 @@ TAMPERS = {
     "log-end-before-turns": ("log", lambda lines: [lines[0], lines[-1], *lines[1:-1]]),
     "log-header-twice": ("log", lambda lines: [*lines, lines[0]]),
     "log-line-after-end": ("log", lambda lines: [*lines[:-2], lines[-1], lines[-2]]),
+    # a coop line whose sender is not an id; stage-4 logs carry no coop lines
+    "log-coop-from-str": ("log", lambda lines: [
+        lines[0], '{"kind":"coop","turn":0,"event":"keep","from":"1"}', *lines[1:]]),
     # a value nested in a turn line
     "turn-action-unknown": ("turn", _set("action", "#Fly#")),
     "turn-outcome-unknown-key": ("turn", lambda turn: turn["outcome"].update(bonus=5)),

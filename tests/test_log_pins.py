@@ -7,9 +7,11 @@ stage-3 log of canned request -> accept -> stop replies, the only pin
 whose log carries coop lines. A change
 anywhere in layout, rendering, parsing, the local policies, turn
 resolution, cooperation routing, metrics or log encoding changes one of
-these digests, so a refactor that keeps them keeps behaviour. Each
-header, turn and end line must also re-encode byte-identically through
-its record class, and every pinned log must pass ``replay_verify``.
+these digests, so a refactor that keeps them keeps behaviour. Every
+line of every pinned log, header, turn, coop and end alike, must also
+decode to the record that ``replay.RECORDS`` names for its kind, which
+``ReplayWriter`` writes back byte-identically, and every pinned log must
+pass ``replay_verify``.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ from pathlib import Path
 import pytest
 
 from bab.agents import AgentSpec
-from bab.replay import EndRecord, HeaderRecord, read_log, replay_verify
+from bab.replay import RECORDS, ReplayWriter, read_log, replay_verify
 from bab.runner import RunConfig, run_episode
 from bab.stages import StageOverrides
-from bab.types import TurnRecord, decode
-
-RECORDS = {"header": HeaderRecord, "turn": TurnRecord, "end": EndRecord}
+from bab.types import decode
 
 PAIRINGS = {
     "random-greedy": ("random", "greedy"),
@@ -116,24 +116,23 @@ def run_pinned(tmp_path, stage_id: int, locale: str, pairing: str,
     return path
 
 
-def dump(record: dict) -> str:
-    """The replay log's JSON settings."""
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+def assert_lines_round_trip(path: Path) -> None:
+    """Every line decodes to its kind's record, which the writer's method
+    for that kind writes back as the same bytes."""
+    copy = ReplayWriter(path.with_name("copy.jsonl"))
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        kind = record.pop("kind")
+        getattr(copy, f"write_{kind}")(decode(RECORDS[kind], record))
+    copy.close()
+    assert copy.path.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(LOG_PINS), ids=lambda c: "-".join(map(str, c)))
 def test_whole_log_pins(tmp_path, case):
     path = run_pinned(tmp_path, *case)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == LOG_PINS[case]
-    # every header, turn and end line decodes to its record, which encodes
-    # back to the same bytes
-    lines = path.read_text(encoding="utf-8").splitlines()
-    records = [json.loads(line) for line in lines]
-    assert records[0]["kind"] == "header" and records[-1]["kind"] == "end"
-    for line, record in zip(lines, records):
-        cls = RECORDS.get(record.pop("kind"))
-        if cls is not None:
-            assert dump(decode(cls, record).to_dict()) == line
+    assert_lines_round_trip(path)
     assert replay_verify(path).ok
 
 
@@ -161,6 +160,7 @@ def test_coop_log_pin(tmp_path, monkeypatch):
     )
     path = tmp_path / "coop.jsonl"
     run_episode(config, 2, path)
-    assert {c["event"] for c in read_log(path).coops} >= {"request", "accept", "stop"}
+    assert {c.event for c in read_log(path).coops} >= {"request", "accept", "stop"}
     assert hashlib.sha256(path.read_bytes()).hexdigest() == COOP_LOG_PIN
+    assert_lines_round_trip(path)
     assert replay_verify(path).ok

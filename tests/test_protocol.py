@@ -33,6 +33,7 @@ from bab.stages import coop_format, load_stage
 from bab.types import (
     Action,
     Blocker,
+    CoopEvent,
     Disposition,
     Goal,
     Orientation,
@@ -567,7 +568,7 @@ def test_request_to_teammate_lands_in_next_prompt():
     actions = noop_actions(w)
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 2, "rush their base"))
     events = route_coop(w, actions, True)
-    assert [e["event"] for e in events] == ["request"]
+    assert [e.event for e in events] == ["request"]
     step_turn(w, actions)
     text = render_observation(w, 2)
     history = text.split("Historical cooperation attack information:")[1]
@@ -579,7 +580,7 @@ def test_cross_team_request_dropped_in_intra_stage():
     actions = noop_actions(w)
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 3, "truce?"))
     events = route_coop(w, actions, True)
-    assert events[0]["event"] == "drop"
+    assert events[0].event == "drop"
     assert w.coop_history == []
 
 
@@ -589,7 +590,7 @@ def test_same_team_request_dropped_in_inter_stage():
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 2, "hold"))
     actions[3] = parsed_coop(CoopCommand(CoopKind.REQUEST, 1, "team up on 2?"))
     events = route_coop(w, actions, True)
-    kinds = {e["from"]: e["event"] for e in events}
+    kinds = {e.from_: e.event for e in events}
     assert kinds[1] == "drop"
     assert kinds[3] == "request"
 
@@ -603,7 +604,7 @@ def test_request_to_npc_or_dead_agent_dropped():
     actions[1] = parsed_coop(CoopCommand(CoopKind.REQUEST, 9, "hello npc"))
     actions[2] = parsed_coop(CoopCommand(CoopKind.REQUEST, 99, "hello void"))
     events = route_coop(w, actions, True)
-    assert all(e["event"] == "drop" for e in events)
+    assert all(e.event == "drop" for e in events)
 
 
 def test_acceptance_inferred_from_next_command():
@@ -616,7 +617,7 @@ def test_acceptance_inferred_from_next_command():
     follow = noop_actions(w)
     follow[2] = parsed_coop(CoopCommand(CoopKind.KEEP))
     events = route_coop(w, follow, True)
-    assert {"turn": 1, "event": "accept", "from": 2, "to": 1} in events
+    assert CoopEvent(turn=1, event="accept", from_=2, to=1) in events
     assert (1, 2) in w.coop_pairs
     assert w.coop_history[0].disposition is Disposition.ACCEPTED
 
@@ -649,7 +650,7 @@ def test_stop_coop_clears_active_pairs():
     stop = noop_actions(w)
     stop[1] = parsed_coop(CoopCommand(CoopKind.STOP))
     events = route_coop(w, stop, True)
-    assert [e["event"] for e in events] == ["stop"]
+    assert [e.event for e in events] == ["stop"]
     assert w.coop_pairs == set()
     # 2's request of this turn is not seen yet, so it stays pending
     assert [m.disposition for m in w.coop_history] == [Disposition.STOPPED,
@@ -692,7 +693,7 @@ def test_world_hash_with_cooperation_state_is_pinned(case):
     for commands in COOP_SCRIPT:
         replies = {a.id: format_reply(stage_id, Action.SHOOT, 0, commands.get(a.id))
                    for a in w.live_agents()}
-        events += [e["event"] for e in play_turn(w, replies, True)[0]]
+        events += [e.event for e in play_turn(w, replies, True)[0]]
     assert events == ["request", "request", "accept", "keep", "reject", "stop",
                       "request", "accept", "request"]
     assert [(m.from_id, m.to_id, m.disposition) for m in w.coop_history] == [

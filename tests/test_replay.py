@@ -188,7 +188,7 @@ def run_coop_episode(tmp_path):
 def test_coop_stage_log_verifies_with_messages(tmp_path):
     path, result = run_coop_episode(tmp_path)
     log = read_log(path)
-    routed = [r for r in log.coops if r["event"] == "request"]
+    routed = [r for r in log.coops if r.event == "request"]
     assert routed, "expected at least one routed request"
     assert replay_verify(log).ok
     assert result.world.coop_history
@@ -253,11 +253,14 @@ def test_edited_coop_lines_fail_at_that_turn(tmp_path, capsys, tamper):
     idx = _coop_index(lines, lambda record: tamper != "message" or "message" in record)
     record = json.loads(lines[idx])
     turn = record["turn"]
+    detail = "coop lines diverged"
     if tamper == "drop-one":
         del lines[idx]
     elif tamper == "event":
         record["event"] = "reject" if record["event"] != "reject" else "accept"
         lines[idx] = dump(record)
+        # the detail names the tampered line, whose first key is its event
+        detail += f': logged {{"event":"{record["event"]}"'
     elif tamper == "message":
         record["message"] += " now"
         lines[idx] = dump(record)
@@ -270,7 +273,7 @@ def test_edited_coop_lines_fail_at_that_turn(tmp_path, capsys, tamper):
                        if json.loads(line)["kind"] == "coop")
         first = next(i for i, line in enumerate(lines) if json.loads(line).get("turn") == turn)
         lines.insert(first, dump({"kind": "coop", "turn": turn, "event": "keep", "from": 1}))
-    assert_tamper_fails(lines, tmp_path / "tampered.jsonl", turn, "coop lines diverged", capsys)
+    assert_tamper_fails(lines, tmp_path / "tampered.jsonl", turn, detail, capsys)
 
 
 def test_record_after_the_end_fails(tmp_path, capsys):
@@ -297,7 +300,7 @@ def test_edited_end_record_fails_at_footer(episode_log, capsys, key, edit):
                         f"end record diverged: {key}", capsys)
 
 
-def test_read_log_rejects_garbage(tmp_path):
+def test_read_log_rejects_garbage(tmp_path, episode_log):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ReplayError):
@@ -308,8 +311,11 @@ def test_read_log_rejects_garbage(tmp_path):
     path.write_text('{"kind":"turn","turn":0}\n', encoding="utf-8")
     with pytest.raises(ReplayError, match="missing header"):
         read_log(path)
-    path.write_text('{"kind":"coop","turn":[0],"event":"keep"}\n', encoding="utf-8")
-    with pytest.raises(ReplayError, match="coop record without a turn on line 1"):
+    header = episode_log.read_text(encoding="utf-8").splitlines()[0]
+    path.write_text(header + '\n{"kind":"coop","turn":[0],"event":"keep","from":1}\n',
+                    encoding="utf-8")
+    with pytest.raises(ReplayError,
+                       match=r"line 2: coop record 'turn' takes an integer, not \[0\]"):
         read_log(path)
 
 
