@@ -6,7 +6,9 @@ Four interchangeable policies sit behind one ``decide`` interface:
   format) that retries with full-jitter exponential backoff, honours a
   ``Retry-After`` in seconds on 429 and 503, and gives one decision one
   deadline, ``AgentSpec.timeout`` seconds after it starts, for every
-  attempt, every sleep and every read of a reply (see ``RemotePolicy``);
+  attempt, every sleep and every read of a reply, and keeps its
+  connections alive per server for the whole process (see
+  ``RemotePolicy``);
 - ``random``: a seeded uniform draw over the five actions, always
   emitting the stage's exact output format;
 - ``greedy``: a deterministic navigator that closes the larger axis gap
@@ -23,13 +25,17 @@ BAB_BASE_URL, an http:// or https:// URL; proxy environment variables
 
 from __future__ import annotations
 
+import atexit
+import collections
 import contextlib
+import functools
 import http.client
 import json
 import math
 import os
 import random
 import socket
+import ssl
 import threading
 import time
 from dataclasses import dataclass
@@ -263,14 +269,22 @@ class RemotePolicy:
 
     A decision has a deadline ``spec.timeout`` seconds after it starts;
     when no time is left for a sleep or an attempt, or a reply is not
-    complete by then, the decision fails with ``AgentError``. Each
-    attempt sets the socket timeout to the time left and shuts the socket
-    down at the deadline, so the deadline covers every read of a reply:
-    status line, headers and body. Connecting waits at most the time
-    left, as does each step of a TLS handshake. One connection per
-    policy is kept alive, as an agent's decisions come one at a time;
-    one the server closed while idle is opened again within the attempt.
-    Proxy environment variables are not read; redirects are not followed.
+    complete by then, the decision fails with ``AgentError``. The
+    connection's socket holds the deadline: before each read and each
+    write it sets its timeout to the time left, so the deadline covers
+    the request and every read of a reply: status line, headers and body.
+    Connecting waits at most the time left, as does each step of a TLS
+    handshake.
+
+    Connections are kept alive per server (scheme, host and port), not
+    per policy: every policy of the process shares them. An attempt takes
+    an idle connection or opens a new one, and puts it back after a
+    complete reply that left it open. So a process opens about as many
+    connections to a server as it has requests in flight at once, and
+    its later episodes and suites reuse them. One that the server closed
+    while idle is opened again within the attempt. Idle connections are
+    closed at exit. Proxy environment variables are not read; redirects
+    are not followed.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5) -> None:
@@ -278,9 +292,9 @@ class RemotePolicy:
         self.backoff_base = backoff_base
         self._jitter = random.Random()
         url = _split_base_url(spec.base_url)
-        cls = (http.client.HTTPSConnection if url.scheme == "https"
-               else http.client.HTTPConnection)
-        self._conn = cls(url.hostname, url.port or cls.default_port)
+        default_port = http.client.HTTPS_PORT if url.scheme == "https" else http.client.HTTP_PORT
+        self._server = (url.scheme, url.hostname, url.port or default_port)
+        self._idle = _idle.setdefault(self._server, collections.deque())
         self._path = url.path.rstrip("/") + "/chat/completions"
 
     def decide(self, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
@@ -335,50 +349,132 @@ class RemotePolicy:
             f"remote call ran out of its {self.spec.timeout:g} s deadline: {last_error}"
         )
 
-    def close(self) -> None:
-        """Close the kept-alive connection."""
-        self._conn.close()
-
     def _post(self, body: bytes, headers: dict[str, str],
               deadline: float) -> tuple[int, str | None, bytes]:
         """One attempt: the reply's status, ``Retry-After`` and body."""
-        conn = self._conn
-        reused = conn.sock is not None
         left = deadline - time.monotonic()
         if left <= 0:
             raise _Transient("reply not complete by the deadline")
-        resp = error = watchdog = None
         try:
-            if conn.sock is None:
-                conn.timeout = left
+            conn = self._idle.pop()
+        except IndexError:
+            conn = None
+        reused = conn is not None
+        resp = None
+        try:
+            if conn is None:
+                conn = _new_connection(*self._server, timeout=left)
                 conn.connect()
-            conn.sock.settimeout(left)
-            # the socket itself: a closing reply sets conn.sock to None
-            watchdog = threading.Timer(left, _shut, (conn.sock,))
-            watchdog.start()
+            conn.sock.deadline = deadline
             conn.request("POST", self._path, body, headers)
             resp = conn.getresponse()
             reply = resp.read()
-        except (OSError, http.client.HTTPException) as exc:
-            error = exc
-        finally:
-            if watchdog:
-                watchdog.cancel()
-                watchdog.join()
-        if error is None and time.monotonic() < deadline:
-            return resp.status, resp.getheader("Retry-After"), reply
-        conn.close()
-        if time.monotonic() >= deadline:  # a reply the watchdog cut short may even parse
-            raise _Transient("reply not complete by the deadline")
-        if reused and resp is None and isinstance(error, ConnectionError):
-            return self._post(body, headers, deadline)  # the server closed it while idle
-        raise error
+        except BaseException as exc:
+            if resp is not None:
+                resp.close()
+            if conn is not None:
+                conn.close()
+            if not isinstance(exc, (OSError, http.client.HTTPException)):
+                raise
+            if time.monotonic() >= deadline:
+                raise _Transient("reply not complete by the deadline") from None
+            if reused and resp is None and isinstance(exc, ConnectionError):
+                return self._post(body, headers, deadline)  # the server closed it while idle
+            raise
+        if conn.sock is not None:  # a closing reply sets it to None
+            self._idle.append(conn)
+        return resp.status, resp.getheader("Retry-After"), reply
 
 
-def _shut(sock: socket.socket) -> None:
-    # not SSLSocket.shutdown, which drops TLS state the reader still uses
-    with contextlib.suppress(OSError):  # closed already
-        socket.socket.shutdown(sock, socket.SHUT_RDWR)
+# Idle kept-alive connections per (scheme, host, port), shared by every
+# RemotePolicy of the process. A deque's append and pop are atomic, so
+# threads share one with no lock; the one put back last is taken first.
+_idle: dict[tuple[str, str, int], collections.deque] = {}
+
+
+def close_idle_connections() -> None:
+    """Close every kept-alive connection that no decision is using."""
+    for idle in list(_idle.values()):
+        with contextlib.suppress(IndexError):  # none left
+            while True:
+                idle.pop().close()
+
+
+atexit.register(close_idle_connections)
+if hasattr(os, "register_at_fork"):
+    # a forked child's copies of the parent's sockets are not its to use;
+    # closing them closes only the child's descriptors
+    os.register_at_fork(after_in_child=close_idle_connections)
+
+
+def _new_connection(scheme: str, host: str, port: int,
+                    timeout: float) -> http.client.HTTPConnection:
+    """An unconnected connection whose socket will hold a deadline."""
+    if scheme == "https":
+        cert_env = (os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
+        conn = http.client.HTTPSConnection(host, port, timeout=timeout,
+                                           context=_tls_context(cert_env))
+    else:
+        conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    conn._create_connection = _connect
+    return conn
+
+
+def _connect(address, timeout, source_address=None) -> socket.socket:
+    """``socket.create_connection``'s socket, as a ``_DeadlineSocket``."""
+    sock = socket.create_connection(address, timeout, source_address)
+    held = _DeadlineSocket(sock.family, sock.type, sock.proto, sock.detach())
+    held.settimeout(timeout)  # a socket made from a descriptor has the default timeout
+    return held
+
+
+@functools.lru_cache(maxsize=None)
+def _tls_context(cert_env: tuple[str | None, str | None]) -> ssl.SSLContext:
+    """``http.client``'s default TLS context, with deadline-holding sockets.
+
+    Built on first use, once per value of ``SSL_CERT_FILE`` and
+    ``SSL_CERT_DIR``, which ``create_default_context`` reads: the same
+    certificate and hostname checks as a default ``HTTPSConnection``.
+    """
+    context = ssl.create_default_context()
+    context.set_alpn_protocols(["http/1.1"])
+    if context.post_handshake_auth is not None:
+        context.post_handshake_auth = True
+    context.sslsocket_class = _DeadlineSSLSocket
+    return context
+
+
+class _HoldsDeadline:
+    """Before each read and write, the socket's timeout becomes the time
+    left until ``deadline``, a ``time.monotonic()`` time; once none is
+    left, ``TimeoutError``."""
+
+    deadline = math.inf
+
+    def _hold(self) -> None:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("reply not complete by the deadline")
+        self.settimeout(left)
+
+    def recv_into(self, *args):
+        self._hold()
+        return super().recv_into(*args)
+
+    def sendall(self, *args):
+        self._hold()
+        return super().sendall(*args)
+
+
+class _DeadlineSocket(_HoldsDeadline, socket.socket):
+    pass
+
+
+class _DeadlineSSLSocket(_HoldsDeadline, ssl.SSLSocket):
+    # SSLSocket.sendall is a loop of send calls, each given the whole timeout
+    def send(self, *args):
+        self._hold()
+        return super().send(*args)
 
 
 def _split_base_url(url: str) -> SplitResult:

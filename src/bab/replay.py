@@ -214,13 +214,16 @@ def read_log(path: str | Path) -> ReplayLog:
 
 def load_world(header: HeaderRecord) -> WorldState:
     """The world that the header's stage, seed and overrides load, checked
-    against the header's world-derived fields; ``ReplayError`` if it does
-    not load or a field differs."""
+    against the header's world-derived fields and the agent ids that key
+    its ``agents`` map; ``ReplayError`` if it does not load or a field
+    differs."""
     try:
         world = load_stage(header.stage_id, header.seed, header.overrides)
     except StageLoadError as exc:
         raise ReplayError(f"header stage does not load: {exc}") from None
-    diverged = _diverged(replace(header, **world_fields(world)), header)
+    # the agents map keeps its logged specs, but must key the stage's agents
+    agents = {agent.id: header.agents.get(agent.id) for agent in world.live_agents()}
+    diverged = _diverged(replace(header, **world_fields(world), agents=agents), header)
     if diverged:
         raise ReplayError(f"header diverged from its stage: {', '.join(diverged)}")
     return world

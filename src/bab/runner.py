@@ -24,9 +24,12 @@ A suite in which any config binds a remote backend plays its episodes
 concurrently too, on one thread pool of at most ``MAX_EPISODE_WORKERS``
 episodes, each with its own decide pool. So a suite has at most
 ``MAX_EPISODE_WORKERS * MAX_DECIDE_WORKERS`` (24) requests in flight.
-Episodes share no state: each has its own seed, world, backends and log
-file, and the suite collects their results in submission order, so its
-outputs do not depend on which episode ended first. A local suite plays
+Episodes share no game state: each has its own seed, world, backends and
+log file, and the suite collects their results in submission order, so
+its outputs do not depend on which episode ended first. They do share
+remote connections, which are kept alive per server for the whole
+process, not per episode or per suite (see ``agents.RemotePolicy``): an
+episode has nothing to close when it ends. A local suite plays
 its episodes one after another: they are CPU-bound, and threads cannot
 run Python code in parallel.
 
@@ -173,9 +176,6 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-            for backend in backends.values():
-                if isinstance(backend, RemotePolicy):
-                    backend.close()
         if writer is not None:
             writer.close()
     return EpisodeResult(summary=summary, world=world, records=all_records)

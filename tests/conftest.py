@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from bab.agents import close_idle_connections
 from bab.types import (
     AGENT_HEALTH,
     NPC_HEALTH,
@@ -94,3 +95,11 @@ def golden_dir() -> Path:
 @pytest.fixture
 def fixture_dir() -> Path:
     return FIXTURE_DIR
+
+
+@pytest.fixture(autouse=True)
+def no_idle_connections():
+    """Leave no kept-alive remote connection to the next test: a stub
+    server's port may be handed to another test's server."""
+    yield
+    close_idle_connections()

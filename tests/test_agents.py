@@ -5,8 +5,11 @@ import json
 import math
 import random
 import socket
+import ssl
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
@@ -27,7 +30,7 @@ from bab.prompts import render_observation
 from bab.stages import StageOverrides, load_stage
 from bab.types import Orientation, Pos
 
-from conftest import agent, base, make_world, npc, wall_cells_for_rect
+from conftest import FIXTURE_DIR, agent, base, make_world, npc, wall_cells_for_rect
 
 
 # ----------------------------------------------------------------------
@@ -466,14 +469,21 @@ class _TrickleHandler(BaseHTTPRequestHandler):
 
 
 @contextlib.contextmanager
-def serving(handler):
-    """A threading HTTP server on a loopback port, as its base URL."""
+def serving(handler, tls=False):
+    """A threading HTTP server on a loopback port, as its base URL; over
+    TLS with the self-signed certificate in the fixtures when ``tls``."""
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.daemon_threads = True
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(FIXTURE_DIR / "tls_cert.pem", FIXTURE_DIR / "tls_key.pem")
+        # each handler thread shakes hands on its first read, not the accepting thread
+        server.socket = context.wrap_socket(server.socket, server_side=True,
+                                            do_handshake_on_connect=False)
     thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     try:
-        yield f"http://127.0.0.1:{server.server_port}"
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
     finally:
         server.shutdown()
         server.server_close()
@@ -592,8 +602,88 @@ def test_remote_keeps_one_connection_alive(monkeypatch, close_after_reply, conne
             exchange = policy.decide("prompt", w, 1)
             assert (exchange.response, exchange.attempt_count) == ("#Operation: #Shoot#", 1)
             assert client_threads() == []
-        policy.close()
     assert _KeepAliveHandler.connections == connections
+
+
+def test_concurrent_decisions_share_the_idle_connections(monkeypatch):
+    # more threads than cores, switching often: a connection taken twice
+    # garbles its replies, and one lost on its way back is opened again
+    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
+    w = load_stage(1, 0)
+    threads = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(_KeepAliveHandler) as url:
+            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                            retries=0))
+            with ThreadPoolExecutor(threads) as pool:
+                exchanges = list(pool.map(lambda _: policy.decide("prompt", w, 1), range(200),
+                                          timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all((e.response, e.attempt_count) == ("#Operation: #Shoot#", 1) for e in exchanges)
+    assert 1 <= _KeepAliveHandler.connections <= threads
+
+
+def test_policies_one_after_another_share_one_connection(monkeypatch):
+    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
+    w = load_stage(1, 0)
+    with serving(_KeepAliveHandler) as url:
+        for _ in range(2):
+            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url))
+            assert policy.decide("prompt", w, 1).attempt_count == 1
+        assert _KeepAliveHandler.connections == 1
+        agents.close_idle_connections()
+        assert policy.decide("prompt", w, 1).attempt_count == 1
+    assert _KeepAliveHandler.connections == 2
+
+
+# ----------------------------------------------------------------------
+# the remote backend over TLS, trusting the self-signed fixture certificate
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def trust_fixture_cert(monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(FIXTURE_DIR / "tls_cert.pem"))
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+
+
+def test_remote_keeps_one_tls_connection_alive(monkeypatch, trust_fixture_cert):
+    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
+    w = load_stage(1, 0)
+    with serving(_KeepAliveHandler, tls=True) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url))
+        for _ in range(3):
+            exchange = policy.decide("prompt", w, 1)
+            assert (exchange.response, exchange.attempt_count) == ("#Operation: #Shoot#", 1)
+    assert _KeepAliveHandler.connections == 1
+
+
+@pytest.mark.parametrize("at_once", [0, len(b"HTTP/1.1 200 OK\r\n")],
+                         ids=["status-line", "headers"])
+def test_remote_gives_up_a_trickled_tls_head_at_the_deadline(monkeypatch, trust_fixture_cert,
+                                                            at_once):
+    monkeypatch.setattr(_TrickleHeadHandler, "at_once", at_once)
+    with serving(_TrickleHeadHandler, tls=True) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                        timeout=0.4, retries=0))
+        start = time.monotonic()
+        with pytest.raises(AgentError, match="not complete by the deadline"):
+            policy.decide("prompt", load_stage(1, 0), 1)
+        assert time.monotonic() - start < 0.4 + 0.3  # one 30 ms wait, and slack
+        assert client_threads() == []
+
+
+def test_remote_refuses_a_certificate_it_does_not_trust(monkeypatch):
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    with serving(_KeepAliveHandler, tls=True) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                        retries=0))
+        with pytest.raises(AgentError, match="CERTIFICATE_VERIFY_FAILED"):
+            policy.decide("prompt", load_stage(1, 0), 1)
 
 
 # ----------------------------------------------------------------------

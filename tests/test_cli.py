@@ -426,6 +426,8 @@ TAMPERS = {
     "header-layout-tank-pos": ("header", _shift_first_tank),
     "header-targets-extra": ("header", lambda h: h["targets"].update({"99": [0, 0]})),
     "header-agents-key": ("header", lambda h: h["agents"].update({"x": {}})),
+    "header-agents-renumbered": ("header", lambda h: h.update(
+        agents={"99": next(iter(h["agents"].values()))})),
     "end-turns-str": ("end", lambda end: end.update(turns=str(end["turns"]))),
     "header-version-2": ("header", _set("version", 2)),
     "not-utf8": (None, None),

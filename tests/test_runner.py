@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import random
@@ -134,14 +135,16 @@ class _ChatStub(ThreadingHTTPServer):
     # a connection waits a second for its SYN to be resent
     request_queue_size = 64
 
-    def __init__(self, stage_id: int) -> None:
-        super().__init__(("127.0.0.1", 0), _ChatHandler)
+    def __init__(self, stage_id: int, handler=None) -> None:
+        super().__init__(("127.0.0.1", 0), handler or _ChatHandler)
         self.stage_id = stage_id
         self.lock = threading.Lock()
         self.delays = random.Random()
+        self.delay_range = (0.001, 0.015)
         self.in_flight = 0
         self.peak = 0
         self.served = 0
+        self.connections = 0
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
@@ -157,7 +160,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
             stub.in_flight += 1
             stub.peak = max(stub.peak, stub.in_flight)
             stub.served += 1
-            delay = stub.delays.uniform(0.001, 0.015)
+            delay = stub.delays.uniform(*stub.delay_range)
         time.sleep(delay)
         with stub.lock:
             stub.in_flight -= 1
@@ -172,14 +175,33 @@ class _ChatHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _KeepAliveChatHandler(_ChatHandler):
+    """``_ChatHandler`` over HTTP/1.1 connections that stay open, counted
+    as the stub accepts them."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        with self.server.lock:
+            self.server.connections += 1
+
+
+@contextlib.contextmanager
+def serving(stub: _ChatStub):
+    thread = threading.Thread(target=stub.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    try:
+        yield stub
+    finally:
+        stub.shutdown()
+        stub.server_close()
+
+
 @pytest.fixture
 def chat_stub():
-    server = _ChatStub(stage_id=7)
-    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-    server.server_close()
+    with serving(_ChatStub(stage_id=7)) as server:
+        yield server
 
 
 def remote_config(stub, turns=6, model="stub"):
@@ -414,3 +436,20 @@ def test_interrupted_suite_starts_no_queued_episode(chat_stub, tmp_path, monkeyp
         assert json.loads(path.read_text().splitlines()[-1])["turn"] < 39
     assert not (out / "episodes.csv").exists() and not (out / "failures.txt").exists()
     assert pool_threads() == []
+
+
+def test_a_later_suite_reuses_the_connections_of_an_earlier_one(tmp_path):
+    with serving(_ChatStub(stage_id=5, handler=_KeepAliveChatHandler)) as stub:
+        # every reply takes long enough that a turn's requests overlap
+        stub.delay_range = (0.05, 0.05)
+        spec = AgentSpec(backend="remote", model="stub", timeout=30.0,
+                         base_url=f"http://127.0.0.1:{stub.server_port}")
+        suite = RunConfig(stage_id=5, seeds=[0, 1, 2], primary=spec, reference=spec,
+                          overrides=StageOverrides(turns=3))
+        run_benchmark([suite], tmp_path / "first")
+        opened = stub.connections
+        assert 1 <= opened <= stub.peak
+        run_benchmark([suite], tmp_path / "second")
+        assert stub.connections == opened
+    for out in ("first", "second"):
+        assert not (tmp_path / out / "failures.txt").exists()
