@@ -36,7 +36,6 @@ import os
 import random
 import socket
 import ssl
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -276,15 +275,15 @@ class RemotePolicy:
     Connecting waits at most the time left, as does each step of a TLS
     handshake.
 
-    Connections are kept alive per server (scheme, host and port), not
-    per policy: every policy of the process shares them. An attempt takes
-    an idle connection or opens a new one, and puts it back after a
-    complete reply that left it open. So a process opens about as many
-    connections to a server as it has requests in flight at once, and
-    its later episodes and suites reuse them. One that the server closed
-    while idle is opened again within the attempt. Idle connections are
-    closed at exit. Proxy environment variables are not read; redirects
-    are not followed.
+    Connections are kept alive per server (scheme, host and port, and
+    for https the trusted certificates), not per policy: every policy of
+    the process shares them. An attempt takes an idle connection or opens
+    a new one, and puts it back after a complete reply that left it open.
+    So a process opens about as many connections to a server as it has
+    requests in flight at once, and its later episodes and suites reuse
+    them. One that the server closed while idle is opened again within
+    the attempt. Idle connections are closed at exit. Proxy environment
+    variables are not read; redirects are not followed.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5) -> None:
@@ -292,8 +291,12 @@ class RemotePolicy:
         self.backoff_base = backoff_base
         self._jitter = random.Random()
         url = _split_base_url(spec.base_url)
-        default_port = http.client.HTTPS_PORT if url.scheme == "https" else http.client.HTTP_PORT
-        self._server = (url.scheme, url.hostname, url.port or default_port)
+        https = url.scheme == "https"
+        # what create_default_context trusts: a connection verified under
+        # one setting is not reused under another
+        trust = (os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR")) if https else None
+        port = url.port or (http.client.HTTPS_PORT if https else http.client.HTTP_PORT)
+        self._server = (url.scheme, url.hostname, port, trust)
         self._idle = _idle.setdefault(self._server, collections.deque())
         self._path = url.path.rstrip("/") + "/chat/completions"
 
@@ -386,10 +389,10 @@ class RemotePolicy:
         return resp.status, resp.getheader("Retry-After"), reply
 
 
-# Idle kept-alive connections per (scheme, host, port), shared by every
-# RemotePolicy of the process. A deque's append and pop are atomic, so
-# threads share one with no lock; the one put back last is taken first.
-_idle: dict[tuple[str, str, int], collections.deque] = {}
+# Idle kept-alive connections per (scheme, host, port, trust), shared by
+# every RemotePolicy of the process. A deque's append and pop are atomic,
+# so threads share one with no lock; the one put back last is taken first.
+_idle: dict[tuple, collections.deque] = {}
 
 
 def close_idle_connections() -> None:
@@ -400,20 +403,17 @@ def close_idle_connections() -> None:
                 idle.pop().close()
 
 
+# else the interpreter finalizes them at exit, which in dev mode warns
+# once per connection
 atexit.register(close_idle_connections)
-if hasattr(os, "register_at_fork"):
-    # a forked child's copies of the parent's sockets are not its to use;
-    # closing them closes only the child's descriptors
-    os.register_at_fork(after_in_child=close_idle_connections)
 
 
-def _new_connection(scheme: str, host: str, port: int,
+def _new_connection(scheme: str, host: str, port: int, trust: tuple | None,
                     timeout: float) -> http.client.HTTPConnection:
     """An unconnected connection whose socket will hold a deadline."""
     if scheme == "https":
-        cert_env = (os.environ.get("SSL_CERT_FILE"), os.environ.get("SSL_CERT_DIR"))
         conn = http.client.HTTPSConnection(host, port, timeout=timeout,
-                                           context=_tls_context(cert_env))
+                                           context=_tls_context(trust))
     else:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
     conn._create_connection = _connect
@@ -429,7 +429,7 @@ def _connect(address, timeout, source_address=None) -> socket.socket:
 
 
 @functools.lru_cache(maxsize=None)
-def _tls_context(cert_env: tuple[str | None, str | None]) -> ssl.SSLContext:
+def _tls_context(trust: tuple[str | None, str | None]) -> ssl.SSLContext:
     """``http.client``'s default TLS context, with deadline-holding sockets.
 
     Built on first use, once per value of ``SSL_CERT_FILE`` and

@@ -3,14 +3,17 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import random
 import socket
 import ssl
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -639,6 +642,19 @@ def test_policies_one_after_another_share_one_connection(monkeypatch):
     assert _KeepAliveHandler.connections == 2
 
 
+def test_idle_connections_are_closed_at_exit():
+    # a socket the interpreter finalizes at exit warns in dev mode
+    src = str(Path(agents.__file__).parents[1])
+    with serving(_KeepAliveHandler) as url:
+        code = ("from bab.agents import AgentSpec, RemotePolicy; from bab.stages import load_stage; "
+                f"spec = AgentSpec(backend='remote', model='m', base_url={url!r}); "
+                "assert RemotePolicy(spec).decide('prompt', load_stage(1, 0), 1).attempt_count == 1")
+        child = subprocess.run([sys.executable, "-X", "dev", "-c", code], capture_output=True,
+                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert child.returncode == 0, child.stderr
+    assert "ResourceWarning" not in child.stderr
+
+
 # ----------------------------------------------------------------------
 # the remote backend over TLS, trusting the self-signed fixture certificate
 # ----------------------------------------------------------------------
@@ -676,14 +692,16 @@ def test_remote_gives_up_a_trickled_tls_head_at_the_deadline(monkeypatch, trust_
         assert client_threads() == []
 
 
-def test_remote_refuses_a_certificate_it_does_not_trust(monkeypatch):
-    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
-    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+def test_remote_refuses_a_certificate_it_does_not_trust(monkeypatch, trust_fixture_cert):
+    w = load_stage(1, 0)
     with serving(_KeepAliveHandler, tls=True) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
-                                        retries=0))
+        spec = AgentSpec(backend="remote", model="m", base_url=url, retries=0)
+        assert RemotePolicy(spec).decide("prompt", w, 1).attempt_count == 1
+        # the connection verified under the fixture CA stays idle, but a
+        # policy that no longer trusts that CA does not take it
+        monkeypatch.delenv("SSL_CERT_FILE")
         with pytest.raises(AgentError, match="CERTIFICATE_VERIFY_FAILED"):
-            policy.decide("prompt", load_stage(1, 0), 1)
+            RemotePolicy(spec).decide("prompt", w, 1)
 
 
 # ----------------------------------------------------------------------
