@@ -5,7 +5,6 @@ from .coop import route_coop
 from .engine import apply_move, apply_shoot, check_termination, npc_policy, step_turn
 from .metrics import (
     aggregate,
-    episode_score,
     format_accuracy,
     forward_distance,
     goal_completion,
@@ -35,7 +34,6 @@ __all__ = [
     "apply_move",
     "apply_shoot",
     "check_termination",
-    "episode_score",
     "format_accuracy",
     "format_reply",
     "forward_distance",

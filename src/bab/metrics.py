@@ -8,11 +8,12 @@ objective at decision time; by default only move turns enter the
 denominator (shooting is neither right nor wrong), with the
 all-formatted-turns denominator available behind a flag.
 
-``SCORES`` lists the five per-episode metrics (F Dis, F Acc, M Acc,
-Score and goal completion) once, in order: the end record, the columns
-of ``episodes.csv`` and the stage means all read it. ``write_reports``
-writes a suite's ``episodes.csv`` and ``summary.txt``, for ``bab run``
-and ``bab report`` alike.
+``Scores`` is the one definition of the five per-episode metrics (F Dis,
+F Acc, M Acc, Score and goal completion), in order: an agent's metrics,
+the episode row, the stage means and the end record are all ``Scores``,
+and ``SCORES`` names its fields for the columns of ``episodes.csv``.
+``write_reports`` writes a suite's ``episodes.csv`` and ``summary.txt``,
+for ``bab run`` and ``bab report`` alike.
 
 All other functions are pure over turn records, so recomputing from a
 replay log reproduces live-run values exactly.
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from statistics import mean
 
@@ -30,9 +31,6 @@ from .stages import is_navigation
 from .types import MOVE_DIRECTIONS, MOVE_STEP, Action, Pos, TurnRecord
 
 DENOMINATOR_MODES = ("moves", "formatted")
-
-# the per-episode metrics, in the order that every report lists them
-SCORES = ("f_dis", "f_acc", "m_acc", "score", "goal_completion")
 
 
 class MetricsError(Exception):
@@ -80,14 +78,6 @@ def _move_is_correct(r: TurnRecord) -> bool:
     return after.l1(r.objective) < before.l1(r.objective)
 
 
-def episode_score(records: list[TurnRecord], primary_ids: list[int]) -> int:
-    known = {r.agent for r in records}
-    unknown = set(primary_ids) - known
-    if unknown:
-        raise MetricsError(f"unknown agent ids {sorted(unknown)}")
-    return sum(r.score_delta for r in records if r.agent in primary_ids)
-
-
 def goal_completion(f_dis: float, initial_distance: float) -> float:
     if initial_distance <= 0:
         raise MetricsError("initial distance must be positive")
@@ -106,29 +96,30 @@ def mean_of(values) -> float | None:
 
 
 @dataclass
-class AgentMetrics:
+class Scores:
+    """The five per-episode metrics, in the order that every report lists
+    them. An episode's score is a sum of hits, an int; a stage's is a mean."""
+
     f_dis: float
     f_acc: float
     m_acc: float | None
-    score: int
+    score: float
     goal_completion: float | None
 
 
+SCORES = tuple(f.name for f in fields(Scores))
+
+
 @dataclass
-class EpisodeSummary:
+class EpisodeSummary(Scores):
     """One primary-side row: what the CSV and aggregation consume."""
 
     stage_id: int
     model: str
     seed: int
-    f_dis: float
-    f_acc: float
-    m_acc: float | None
-    score: int
-    goal_completion: float | None
     end_reason: str
     turns: int
-    per_agent: dict[int, AgentMetrics] = field(default_factory=dict)
+    per_agent: dict[int, Scores] = field(default_factory=dict)
 
 
 def compute_episode(
@@ -154,7 +145,7 @@ def compute_episode(
     for r in records:
         by_agent.setdefault(r.agent, []).append(r)
 
-    per_agent: dict[int, AgentMetrics] = {}
+    per_agent: dict[int, Scores] = {}
     for agent_id, recs in sorted(by_agent.items()):
         recs.sort(key=lambda r: r.turn)
         p_s = recs[0].pos_before
@@ -164,7 +155,7 @@ def compute_episode(
             raise MetricsError(f"no distance target for agent {agent_id}")
         f_dis = forward_distance(p_s, p_e, target)
         initial = p_s.l1(target) / MOVE_STEP
-        per_agent[agent_id] = AgentMetrics(
+        per_agent[agent_id] = Scores(
             f_dis=f_dis,
             f_acc=format_accuracy(recs),
             m_acc=move_accuracy(recs, denominator),
@@ -189,15 +180,10 @@ def compute_episode(
 
 
 @dataclass
-class StageAggregate:
+class StageAggregate(Scores):
     stage_id: int
     model: str
     runs: int
-    f_dis: float
-    f_acc: float
-    m_acc: float | None
-    score: float
-    goal_completion: float | None
 
 
 @dataclass

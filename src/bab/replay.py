@@ -28,7 +28,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .engine import base_objective, play_turn
-from .metrics import SCORES, EpisodeSummary, MetricsError, compute_episode
+from .metrics import SCORES, EpisodeSummary, MetricsError, Scores, compute_episode
 from .stages import StageOverrides, load_stage
 from .types import (CoopEvent, DecodeError, EndReason, Pos, StageConfig, StageLoadError,
                     TurnRecord, WorldState, decode, encode)
@@ -105,7 +105,7 @@ class EndRecord:
     winner_team: int | None
     turns: int
     world_hash: str
-    metrics: dict
+    metrics: Scores
 
 
 RECORDS = {"header": HeaderRecord, "turn": TurnRecord, "coop": CoopEvent, "end": EndRecord}
@@ -132,7 +132,7 @@ def world_fields(world: WorldState) -> dict:
 
 def end_record(world: WorldState, summary: EpisodeSummary) -> EndRecord:
     """The end record of a world that has ended."""
-    metrics = {name: getattr(summary, name) for name in SCORES}
+    metrics = Scores(*(getattr(summary, name) for name in SCORES))
     return EndRecord(reason=world.status, winner_team=world.winner_team, turns=world.turn,
                      world_hash=world.world_hash(), metrics=metrics)
 

@@ -139,7 +139,10 @@ class StageOverrides:
     def from_file(cls, path: str | Path) -> "StageOverrides":
         import yaml  # only stage-config files are YAML
 
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        except yaml.YAMLError as exc:
+            raise StageLoadError(f"stage config is not YAML: {exc}") from None
         return cls.from_mapping({} if data is None else data)
 
 

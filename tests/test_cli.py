@@ -163,6 +163,7 @@ def test_override_of_wrong_type_is_a_config_error(tmp_path, capsys):
         ("5", "coop_topology: none\n"),        # cooperation stage: --no-coop is the switch
         ("4", "coop_topology: intra_team\n"),  # a stage without cooperation
         ("9", ""),                             # no such stage
+        ("1", "turns: [\n"),                   # not YAML
     ):
         cfg.write_text(yaml_text, encoding="utf-8")
         assert run_cli("run", "--stage", stage, "--runs", "2", "--primary-model", "random",
@@ -435,6 +436,10 @@ TAMPERS = {
     "header-unknown-key": ("header", _set("bonus", 5)),
     "turn-unknown-key": ("turn", _set("bonus", 5)),
     "end-unknown-key": ("end", _set("bonus", 5)),
+    # a value nested in the end line's metrics
+    "end-metrics-unknown-key": ("end", lambda end: end["metrics"].update(bonus=5)),
+    "end-metrics-score-str": ("end", lambda end: end["metrics"].update(score="6")),
+    "end-metrics-missing-f-dis": ("end", lambda end: end["metrics"].pop("f_dis")),
     "log-turn-lines-twice": ("log", _turn_lines_twice),
     "log-end-before-turns": ("log", lambda lines: [lines[0], lines[-1], *lines[1:-1]]),
     "log-header-twice": ("log", lambda lines: [*lines, lines[0]]),

@@ -11,7 +11,6 @@ from bab.metrics import (
     MetricsError,
     aggregate,
     compute_episode,
-    episode_score,
     episodes_csv,
     format_accuracy,
     forward_distance,
@@ -149,24 +148,8 @@ def test_move_accuracy_judged_at_decision_position():
 
 
 # ----------------------------------------------------------------------
-# episode score and goal completion
+# goal completion
 # ----------------------------------------------------------------------
-
-
-def test_episode_score_npc_kill_plus_base():
-    recs = [
-        record(0, score_delta=1, outcome=Outcome("hit_tank", target=9, destroyed=True)),
-        record(1, score_delta=5, outcome=Outcome("hit_base", target=102)),
-        record(2),
-    ]
-    assert episode_score(recs, [1]) == 6
-
-
-def test_episode_score_zero_and_unknown_id():
-    recs = [record(0), record(1)]
-    assert episode_score(recs, [1]) == 0
-    with pytest.raises(MetricsError):
-        episode_score(recs, [1, 99])
 
 
 def test_goal_completion_values():
@@ -239,13 +222,15 @@ def test_compute_episode_rolls_up_primary_team():
                outcome=Outcome("hit_tank", target=9, destroyed=True)),
         record(1, agent_id=1, action=Action.MOVE_UP, pos=(256, 224)),
         record(1, agent_id=2, format_ok=False),
+        record(2, agent_id=1, action=Action.SHOOT, pos=(256, 224), score_delta=5,
+               outcome=Outcome("hit_base", target=102)),
     ]
     targets = {1: Pos(256, 64), 2: Pos(256, 64)}
     ep = compute_episode(
         stage_id=5, model="m", seed=0, records=records, targets=targets,
-        primary_ids=[1, 2], end_reason="turn_cap", turns=2,
+        primary_ids=[1, 2], end_reason="turn_cap", turns=3,
     )
-    assert ep.score == 1
+    assert ep.score == 1 + 5  # an NPC kill plus a base hit, summed over the side
     assert ep.f_acc == pytest.approx((2 / 2 + 1 / 2) / 2)
     assert ep.per_agent[1].m_acc == 1.0
     assert ep.per_agent[1].f_dis == 1.0  # one 32-px step closer across turns
