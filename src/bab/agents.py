@@ -36,6 +36,7 @@ import os
 import random
 import socket
 import ssl
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -282,8 +283,13 @@ class RemotePolicy:
     So a process opens about as many connections to a server as it has
     requests in flight at once, and its later episodes and suites reuse
     them. One that the server closed while idle is opened again within
-    the attempt. Idle connections are closed at exit. Proxy environment
-    variables are not read; redirects are not followed.
+    the attempt. Connections to one server are opened one at a time: a
+    first turn's burst of them at once, past the server's listen backlog,
+    can be reset. The wait for that turn counts against the decision's
+    deadline, and a decision that finds a connection put back while it
+    waited takes that one instead. TLS handshakes still overlap. Idle
+    connections are closed at exit. Proxy environment variables are not
+    read; redirects are not followed.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5) -> None:
@@ -366,7 +372,7 @@ class RemotePolicy:
         resp = None
         try:
             if conn is None:
-                conn = _new_connection(*self._server, timeout=left)
+                conn = _new_connection(*self._server, timeout=left, idle=self._idle)
                 conn.connect()
             conn.sock.deadline = deadline
             conn.request("POST", self._path, body, headers)
@@ -377,6 +383,8 @@ class RemotePolicy:
                 resp.close()
             if conn is not None:
                 conn.close()
+            if isinstance(exc, _PutBack):
+                return self._post(body, headers, deadline)
             if not isinstance(exc, (OSError, http.client.HTTPException)):
                 raise
             if time.monotonic() >= deadline:
@@ -409,23 +417,46 @@ atexit.register(close_idle_connections)
 
 
 def _new_connection(scheme: str, host: str, port: int, trust: tuple | None,
-                    timeout: float) -> http.client.HTTPConnection:
-    """An unconnected connection whose socket will hold a deadline."""
+                    timeout: float, idle: collections.deque) -> http.client.HTTPConnection:
+    """An unconnected connection whose socket will hold a deadline, to the
+    server whose idle connections are ``idle``."""
     if scheme == "https":
         conn = http.client.HTTPSConnection(host, port, timeout=timeout,
                                            context=_tls_context(trust))
     else:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    conn._create_connection = _connect
+    conn._create_connection = functools.partial(_connect, idle=idle)
     return conn
 
 
-def _connect(address, timeout, source_address=None) -> socket.socket:
-    """``socket.create_connection``'s socket, as a ``_DeadlineSocket``."""
-    sock = socket.create_connection(address, timeout, source_address)
+def _connect(address, timeout, source_address=None, *,
+             idle: collections.deque) -> socket.socket:
+    """``socket.create_connection``'s socket, as a ``_DeadlineSocket``,
+    once no other connection to ``address`` is being opened; within
+    ``timeout`` seconds in all. ``_PutBack`` if a connection was put back
+    in ``idle`` while this one waited its turn."""
+    start = time.monotonic()
+    lock = _connecting.setdefault(address, threading.Lock())
+    if not lock.acquire(timeout=timeout):
+        raise TimeoutError("no connection by the deadline")
+    try:
+        if idle:
+            raise _PutBack
+        left = timeout - (time.monotonic() - start)
+        if left <= 0:
+            raise TimeoutError("no connection by the deadline")
+        sock = socket.create_connection(address, left, source_address)
+    finally:
+        lock.release()
     held = _DeadlineSocket(sock.family, sock.type, sock.proto, sock.detach())
-    held.settimeout(timeout)  # a socket made from a descriptor has the default timeout
+    held.settimeout(left)  # a socket made from a descriptor has the default timeout
     return held
+
+
+# One lock per (host, port): a server's listen backlog can be a handful of
+# connections (5 for Python's socketserver), and connections past it wait
+# a second or more for a resent SYN, or are reset.
+_connecting: dict[tuple, threading.Lock] = {}
 
 
 @functools.lru_cache(maxsize=None)
@@ -496,6 +527,10 @@ def _retry_after_s(value: str | None) -> float | None:
 
 class _Transient(Exception):
     pass
+
+
+class _PutBack(Exception):
+    """Another decision's connection is idle now: take it, open none."""
 
 
 def split_prompt(prompt: str) -> tuple[str, str]:

@@ -12,18 +12,22 @@ from the logs.
 Every prompt of a turn is rendered from the same world, in one
 ``prompts.render_turn`` call, before any agent is asked, so one turn's
 decisions do not depend on each other. When an episode has a remote
-backend, a turn's decisions run concurrently on a thread pool that lives
-for the episode, at most ``MAX_DECIDE_WORKERS`` at a time. Local
-backends are asked one after another: they answer in microseconds, and
-handing each of their decisions to the pool cost about a third of the
-local workloads' decisions per second. Either way the replies are
-parsed, routed, resolved and logged in ``live_agents()`` order, so the
-log does not depend on which reply came back first.
+backend, its first live agent is asked on the episode's own thread and
+the others at the same time on a decide pool of threads. Local backends
+are asked one after another: they answer in microseconds, and handing
+each of their decisions to a pool cost about a third of the local
+workloads' decisions per second. Either way the replies are parsed,
+routed, resolved and logged in ``live_agents()`` order, so the log does
+not depend on which reply came back first.
 
 A suite in which any config binds a remote backend plays its episodes
-concurrently too, on one thread pool of at most ``MAX_EPISODE_WORKERS``
-episodes, each with its own decide pool. So a suite has at most
-``MAX_EPISODE_WORKERS * MAX_DECIDE_WORKERS`` (24) requests in flight.
+concurrently too, at most ``MAX_EPISODE_WORKERS`` at a time, and they
+share one decide pool of ``MAX_DECIDE_WORKERS`` threads that lives for
+the suite. So a suite has at most ``MAX_EPISODE_WORKERS +
+MAX_DECIDE_WORKERS`` (24) requests in flight, whichever stages it plays.
+An episode played on its own, outside a suite, opens its own decide pool
+of one thread fewer than its agents, at most ``MAX_DECIDE_WORKERS``; a
+one-agent episode opens none.
 Episodes share no game state: each has its own seed, world, backends and
 log file, and the suite collects their results in submission order, so
 its outputs do not depend on which episode ended first. They do share
@@ -35,11 +39,11 @@ run Python code in parallel.
 
 An episode that aborts while decisions are in flight (a backend raised
 something other than ``AgentError``, or the run was interrupted) first
-waits for them; a remote decision ends by its deadline (see
-``agents.RemotePolicy``). A suite that is interrupted (any
-``BaseException``, raised in an episode or in the caller's thread)
-starts no queued episode, stops each running one at the end of its
-current turn, waits for them, and re-raises.
+cancels those that have not started and waits for the others; a remote
+decision ends by its deadline (see ``agents.RemotePolicy``). A suite
+that is interrupted (any ``BaseException``, raised in an episode or in
+the caller's thread) starts no queued episode, stops each running one at
+the end of its current turn, waits for them, and re-raises.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,10 +66,11 @@ from .types import TurnRecord, WorldState
 
 log = logging.getLogger(__name__)
 
-MAX_DECIDE_WORKERS = 8
-MAX_EPISODE_WORKERS = 3
+MAX_DECIDE_WORKERS = 18
+MAX_EPISODE_WORKERS = 6
 
-# On a suite's episode threads, ``stop`` is the suite's stop event.
+# On a suite's episode threads, ``stop`` is the suite's stop event and
+# ``decide_pool`` its decide pool.
 _suite = threading.local()
 
 
@@ -131,13 +136,14 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
 
     all_records: list[TurnRecord] = []
     last_record: dict[int, TurnRecord] = {}
-    pool = None
+    pool = own_pool = None
     if any(isinstance(b, RemotePolicy) for b in backends.values()):
-        pool = ThreadPoolExecutor(
-            max_workers=min(MAX_DECIDE_WORKERS, len(backends)),
-            thread_name_prefix="bab-decide",
-        )
-    decide_all = pool.map if pool is not None else map
+        pool = getattr(_suite, "decide_pool", None)
+        if pool is None and len(backends) > 1:
+            pool = own_pool = ThreadPoolExecutor(
+                max_workers=min(MAX_DECIDE_WORKERS, len(backends) - 1),
+                thread_name_prefix="bab-decide",
+            )
 
     def decide(agent_id: int, prompt: str) -> ChatExchange:
         return _safe_decide(backends[agent_id], prompt, world, agent_id)
@@ -150,7 +156,9 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
             agent_ids = [agent.id for agent in world.live_agents()]
             prompts = render_turn(world, agent_ids, config.locale, last_record,
                                   config.coop_enabled)
-            meta = dict(zip(agent_ids, zip(prompts, decide_all(decide, agent_ids, prompts))))
+            exchanges = (_decide_all(pool, decide, agent_ids, prompts) if pool is not None
+                         else list(map(decide, agent_ids, prompts)))
+            meta = dict(zip(agent_ids, zip(prompts, exchanges)))
             replies = {agent_id: exchange.response for agent_id, (_, exchange) in meta.items()}
             coop_events, records = play_turn(world, replies, config.coop_enabled)
 
@@ -174,11 +182,29 @@ def run_episode(config: RunConfig, seed: int, log_path: Path | None = None) -> E
         if writer is not None:
             writer.write_end(end_record(world, summary))
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        if own_pool is not None:
+            own_pool.shutdown()
         if writer is not None:
             writer.close()
     return EpisodeResult(summary=summary, world=world, records=all_records)
+
+
+def _decide_all(pool: Executor, decide, agent_ids: list[int],
+                prompts: list[str]) -> list[ChatExchange]:
+    """Ask the first agent on this thread and the others on ``pool``; the
+    exchanges in ``agent_ids`` order."""
+    futures = [pool.submit(decide, agent_id, prompt)
+               for agent_id, prompt in zip(agent_ids[1:], prompts[1:])]
+    try:
+        first = decide(agent_ids[0], prompts[0])
+        return [first] + [future.result() for future in futures]
+    except BaseException:
+        # the pool may be the suite's: cancel this turn's queued decisions
+        # and wait for its running ones, which end by their deadlines
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
 def _safe_decide(backend, prompt: str, world: WorldState, agent_id: int) -> ChatExchange:
@@ -252,13 +278,17 @@ def _play(job: _Job) -> EpisodeSummary | str:
 
 
 def _play_pooled(jobs: list[_Job]) -> list[EpisodeSummary | str]:
-    """``_play`` each job on the episode pool; outcomes in job order."""
+    """``_play`` each job on the episode pool, with one decide pool for
+    every episode; outcomes in job order."""
     stop = threading.Event()
+    decide_pool = ThreadPoolExecutor(max_workers=MAX_DECIDE_WORKERS,
+                                     thread_name_prefix="bab-decide")
 
     def play(job):
         if stop.is_set():
             raise EpisodeAborted("suite stopped before this episode started")
         _suite.stop = stop
+        _suite.decide_pool = decide_pool
         try:
             return _play(job)
         except BaseException:
@@ -275,6 +305,7 @@ def _play_pooled(jobs: list[_Job]) -> list[EpisodeSummary | str]:
         raise
     finally:
         pool.shutdown(cancel_futures=True)
+        decide_pool.shutdown()
 
 
 __all__ = [

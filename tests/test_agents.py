@@ -629,6 +629,118 @@ def test_concurrent_decisions_share_the_idle_connections(monkeypatch):
     assert 1 <= _KeepAliveHandler.connections <= threads
 
 
+def test_connections_to_one_server_are_opened_one_at_a_time(monkeypatch):
+    # a first turn's burst of new connections past a small listen backlog
+    # waits for a resent SYN, or is reset
+    lock = threading.Lock()
+    calls = {"total": 0, "open": 0, "peak": 0}
+    create_connection = socket.create_connection
+
+    def counted(*args, **kwargs):
+        with lock:
+            calls["total"] += 1
+            calls["open"] += 1
+            calls["peak"] = max(calls["peak"], calls["open"])
+        try:
+            time.sleep(0.02)
+            return create_connection(*args, **kwargs)
+        finally:
+            with lock:
+                calls["open"] -= 1
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    w = load_stage(1, 0)
+    threads = 8
+    start = threading.Barrier(threads)
+
+    def first_decision(policy):
+        start.wait()
+        return policy.decide("prompt", w, 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with serving(_KeepAliveHandler) as url:
+            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                            retries=0))
+            with ThreadPoolExecutor(threads) as pool:
+                exchanges = list(pool.map(first_decision, [policy] * threads, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all((e.response, e.attempt_count) == ("#Operation: #Shoot#", 1) for e in exchanges)
+    assert calls["total"] > 1 and calls["peak"] == 1
+
+
+def test_a_decision_waiting_to_connect_fails_by_its_deadline(monkeypatch):
+    connecting = threading.Event()
+    create_connection = socket.create_connection
+
+    def slow(*args, **kwargs):
+        connecting.set()
+        time.sleep(0.6)
+        return create_connection(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", slow)
+    w = load_stage(1, 0)
+    with serving(_KeepAliveHandler) as url:
+        patient = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                         timeout=30.0, retries=0))
+        hasty = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                       timeout=0.2, retries=0))
+        with ThreadPoolExecutor(1) as pool:
+            opening = pool.submit(patient.decide, "prompt", w, 1)
+            assert connecting.wait(timeout=10)
+            begun = time.monotonic()
+            with pytest.raises(AgentError, match="deadline"):
+                hasty.decide("prompt", w, 1)
+            assert time.monotonic() - begun < 0.2 + 0.15
+            assert opening.result(timeout=60).attempt_count == 1
+
+
+class _SlowKeepAliveHandler(_KeepAliveHandler):
+    """``_KeepAliveHandler`` that takes 0.3 s per reply, and says when a
+    request has come in."""
+
+    received = threading.Event()
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        self.received.set()
+        time.sleep(0.3)
+        super().do_POST()
+
+
+def test_a_decision_waiting_to_connect_takes_a_connection_put_back_meanwhile(monkeypatch):
+    # after a connect that stalls, say on a resent SYN, the decisions that
+    # waited behind it take the connections put back meanwhile, rather
+    # than open new ones in one more burst
+    monkeypatch.setattr(_SlowKeepAliveHandler, "connections", 0)
+    monkeypatch.setattr(_SlowKeepAliveHandler, "received", threading.Event())
+    stalling = threading.Event()
+    calls = []
+    create_connection = socket.create_connection
+
+    def second_stalls(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 2:
+            stalling.set()
+            time.sleep(0.6)
+        return create_connection(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", second_stalls)
+    w = load_stage(1, 0)
+    with serving(_SlowKeepAliveHandler) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url, retries=0))
+        with ThreadPoolExecutor(3) as pool:
+            first = pool.submit(policy.decide, "prompt", w, 1)
+            assert _SlowKeepAliveHandler.received.wait(timeout=10)
+            stalled = pool.submit(policy.decide, "prompt", w, 1)
+            assert stalling.wait(timeout=10)
+            waiting = pool.submit(policy.decide, "prompt", w, 1)
+            exchanges = [f.result(timeout=60) for f in (first, stalled, waiting)]
+    assert all(e.attempt_count == 1 for e in exchanges)
+    assert len(calls) == 2 and _SlowKeepAliveHandler.connections == 2
+
+
 def test_policies_one_after_another_share_one_connection(monkeypatch):
     monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
     w = load_stage(1, 0)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import random
 import threading
@@ -131,8 +132,9 @@ class _ChatStub(ThreadingHTTPServer):
     that a turn's replies come back out of order."""
 
     daemon_threads = True
-    # a suite opens up to 24 connections at once; past the listen backlog
-    # a connection waits a second for its SYN to be resent
+    # a suite has up to 24 requests in flight, each on its own connection;
+    # past the listen backlog a connection waits a second for its SYN to be
+    # resent
     request_queue_size = 64
 
     def __init__(self, stage_id: int, handler=None) -> None:
@@ -218,7 +220,8 @@ def decide_threads():
 def test_remote_decisions_overlap_within_the_pool_bound(chat_stub, tmp_path):
     result = run_episode(remote_config(chat_stub), 3, tmp_path / "a.jsonl")
     agents = len(load_stage(7, 3).live_agents())
-    assert 2 <= chat_stub.peak <= min(runner_mod.MAX_DECIDE_WORKERS, agents)
+    # the first agent on the episode's thread, the others on its own pool
+    assert 2 <= chat_stub.peak <= 1 + min(runner_mod.MAX_DECIDE_WORKERS, agents - 1)
     assert chat_stub.served == len(result.records)
     assert all(r.error is None and r.format_ok for r in result.records)
     assert decide_threads() == []
@@ -352,9 +355,9 @@ def test_duplicate_log_path_is_refused_before_any_episode(tmp_path):
 SUITE_SEEDS = [3, 4, 5, 6, 7]
 
 
-def remote_suite(stub, turns=4):
+def remote_suite(stub, turns=4, seeds=SUITE_SEEDS):
     suite = remote_config(stub, turns=turns)
-    suite.seeds = list(SUITE_SEEDS)
+    suite.seeds = list(seeds)
     return suite
 
 
@@ -383,11 +386,15 @@ def test_concurrent_suite_matches_one_episode_at_a_time(chat_stub, tmp_path, mon
 
 
 def test_remote_suite_requests_stay_within_the_bound(chat_stub, tmp_path):
-    out = run_benchmark([remote_suite(chat_stub)], tmp_path / "suite")
-    agents = len(load_stage(7, 3).live_agents())
-    assert agents < chat_stub.peak
-    assert chat_stub.peak <= runner_mod.MAX_EPISODE_WORKERS * runner_mod.MAX_DECIDE_WORKERS
-    assert len((out / "episodes.csv").read_text().splitlines()) == 1 + len(SUITE_SEEDS)
+    # every reply takes long enough that the episodes' turns overlap
+    chat_stub.delay_range = (0.05, 0.05)
+    suite = remote_suite(chat_stub, seeds=range(3, 3 + runner_mod.MAX_EPISODE_WORKERS))
+    out = run_benchmark([suite], tmp_path / "suite")
+    assert chat_stub.peak <= runner_mod.MAX_EPISODE_WORKERS + runner_mod.MAX_DECIDE_WORKERS
+    # more than the 18 that three stage-7 episodes, of six agents each, ask at once
+    assert chat_stub.peak > 3 * len(load_stage(7, 3).live_agents())
+    assert len((out / "episodes.csv").read_text().splitlines()) == 1 + len(suite.seeds)
+    assert not (out / "failures.txt").exists()
     assert pool_threads() == []
 
 
@@ -411,14 +418,40 @@ def test_failed_episodes_are_listed_in_submission_order(chat_stub, tmp_path, mon
     assert pool_threads() == []
 
 
+def test_other_worker_exception_fails_only_its_episode_of_a_suite(chat_stub, tmp_path,
+                                                                  monkeypatch):
+    # the failed episode's turn leaves nothing on the suite's decide pool,
+    # which goes on serving the other episodes
+    make_backend = runner_mod.make_backend
+    bound = itertools.count()
+
+    class Failing(RemotePolicy):
+        def decide(self, prompt, world, agent_id):
+            raise RuntimeError("backend bug")
+
+    def bind(spec, stage_id, agent_id, coop_enabled=True):
+        if agent_id == 4 and next(bound) == 0:  # one episode's agent 4
+            return Failing(spec)
+        return make_backend(spec, stage_id, agent_id, coop_enabled)
+
+    monkeypatch.setattr(runner_mod, "make_backend", bind)
+    out = run_benchmark([remote_suite(chat_stub)], tmp_path / "suite")
+    failures = (out / "failures.txt").read_text().splitlines()
+    assert len(failures) == 1 and failures[0].endswith(": backend bug")
+    rows = (out / "episodes.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(SUITE_SEEDS) - 1
+    assert pool_threads() == []
+
+
 def test_interrupted_suite_starts_no_queued_episode(chat_stub, tmp_path, monkeypatch):
     play = runner_mod.run_episode
     workers = runner_mod.MAX_EPISODE_WORKERS
+    seeds = list(range(3, 3 + workers + 2))  # two queued behind the running ones
     started = []
 
     def run_episode(config, seed, log_path):
         started.append(seed)
-        if seed == SUITE_SEEDS[1]:
+        if seed == seeds[1]:
             time.sleep(0.1)  # while the episodes beside it play their turns
             raise KeyboardInterrupt
         return play(config, seed, log_path)
@@ -426,8 +459,8 @@ def test_interrupted_suite_starts_no_queued_episode(chat_stub, tmp_path, monkeyp
     monkeypatch.setattr(runner_mod, "run_episode", run_episode)
     out = tmp_path / "suite"
     with pytest.raises(KeyboardInterrupt):
-        run_benchmark([remote_suite(chat_stub, turns=40)], out)
-    assert sorted(started) == SUITE_SEEDS[:workers]
+        run_benchmark([remote_suite(chat_stub, turns=40, seeds=seeds)], out)
+    assert sorted(started) == seeds[:workers]
     running = sorted(out.glob("*.jsonl"))
     assert len(running) == workers - 1
     for path in running:  # stopped after some turns, before the end line
