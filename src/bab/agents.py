@@ -285,11 +285,10 @@ class RemotePolicy:
     them. One that the server closed while idle is opened again within
     the attempt. Connections to one server are opened one at a time: a
     first turn's burst of them at once, past the server's listen backlog,
-    can be reset. The wait for that turn counts against the decision's
-    deadline, and a decision that finds a connection put back while it
-    waited takes that one instead. TLS handshakes still overlap. Idle
-    connections are closed at exit. Proxy environment variables are not
-    read; redirects are not followed.
+    can be reset. Only the TCP connect waits its turn, and the wait
+    counts against the decision's deadline; address lookups and TLS
+    handshakes still overlap. Idle connections are closed at exit. Proxy
+    environment variables are not read; redirects are not followed.
     """
 
     def __init__(self, spec: AgentSpec, backoff_base: float = 0.5) -> None:
@@ -372,7 +371,7 @@ class RemotePolicy:
         resp = None
         try:
             if conn is None:
-                conn = _new_connection(*self._server, timeout=left, idle=self._idle)
+                conn = _new_connection(*self._server, timeout=left)
                 conn.connect()
             conn.sock.deadline = deadline
             conn.request("POST", self._path, body, headers)
@@ -383,8 +382,6 @@ class RemotePolicy:
                 resp.close()
             if conn is not None:
                 conn.close()
-            if isinstance(exc, _PutBack):
-                return self._post(body, headers, deadline)
             if not isinstance(exc, (OSError, http.client.HTTPException)):
                 raise
             if time.monotonic() >= deadline:
@@ -417,40 +414,45 @@ atexit.register(close_idle_connections)
 
 
 def _new_connection(scheme: str, host: str, port: int, trust: tuple | None,
-                    timeout: float, idle: collections.deque) -> http.client.HTTPConnection:
-    """An unconnected connection whose socket will hold a deadline, to the
-    server whose idle connections are ``idle``."""
+                    timeout: float) -> http.client.HTTPConnection:
+    """An unconnected connection whose socket will hold a deadline."""
     if scheme == "https":
         conn = http.client.HTTPSConnection(host, port, timeout=timeout,
                                            context=_tls_context(trust))
     else:
         conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    conn._create_connection = functools.partial(_connect, idle=idle)
+    conn._create_connection = _connect
     return conn
 
 
-def _connect(address, timeout, source_address=None, *,
-             idle: collections.deque) -> socket.socket:
-    """``socket.create_connection``'s socket, as a ``_DeadlineSocket``,
-    once no other connection to ``address`` is being opened; within
-    ``timeout`` seconds in all. ``_PutBack`` if a connection was put back
-    in ``idle`` while this one waited its turn."""
-    start = time.monotonic()
+def _connect(address, timeout, source_address=None) -> socket.socket:
+    """A ``_DeadlineSocket`` connected to ``address`` within ``timeout``
+    seconds, as ``socket.create_connection`` connects one, opened when
+    no other connection to ``address`` is being opened. The address
+    lookup is made first and does not wait its turn."""
+    deadline = time.monotonic() + timeout
+    infos = socket.getaddrinfo(*address, type=socket.SOCK_STREAM)
     lock = _connecting.setdefault(address, threading.Lock())
-    if not lock.acquire(timeout=timeout):
+    if not lock.acquire(timeout=max(0.0, deadline - time.monotonic())):
         raise TimeoutError("no connection by the deadline")
     try:
-        if idle:
-            raise _PutBack
-        left = timeout - (time.monotonic() - start)
-        if left <= 0:
-            raise TimeoutError("no connection by the deadline")
-        sock = socket.create_connection(address, left, source_address)
+        for family, kind, proto, _, sockaddr in infos:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("no connection by the deadline")
+            sock = _DeadlineSocket(family, kind, proto)
+            try:
+                sock.settimeout(left)
+                if source_address:
+                    sock.bind(source_address)
+                sock.connect(sockaddr)
+                return sock
+            except OSError as exc:
+                sock.close()
+                error = exc
+        raise error  # from the last address tried
     finally:
         lock.release()
-    held = _DeadlineSocket(sock.family, sock.type, sock.proto, sock.detach())
-    held.settimeout(left)  # a socket made from a descriptor has the default timeout
-    return held
 
 
 # One lock per (host, port): a server's listen backlog can be a handful of
@@ -527,10 +529,6 @@ def _retry_after_s(value: str | None) -> float | None:
 
 class _Transient(Exception):
     pass
-
-
-class _PutBack(Exception):
-    """Another decision's connection is idle now: take it, open none."""
 
 
 def split_prompt(prompt: str) -> tuple[str, str]:

@@ -193,6 +193,8 @@ def _decide_all(pool: Executor, decide, agent_ids: list[int],
                 prompts: list[str]) -> list[ChatExchange]:
     """Ask the first agent on this thread and the others on ``pool``; the
     exchanges in ``agent_ids`` order."""
+    if not agent_ids:  # every agent died; the NPCs play on
+        return []
     futures = [pool.submit(decide, agent_id, prompt)
                for agent_id, prompt in zip(agent_ids[1:], prompts[1:])]
     try:

@@ -634,21 +634,21 @@ def test_connections_to_one_server_are_opened_one_at_a_time(monkeypatch):
     # waits for a resent SYN, or is reset
     lock = threading.Lock()
     calls = {"total": 0, "open": 0, "peak": 0}
-    create_connection = socket.create_connection
+    connect = agents._DeadlineSocket.connect
 
-    def counted(*args, **kwargs):
+    def counted(sock, address):
         with lock:
             calls["total"] += 1
             calls["open"] += 1
             calls["peak"] = max(calls["peak"], calls["open"])
         try:
             time.sleep(0.02)
-            return create_connection(*args, **kwargs)
+            return connect(sock, address)
         finally:
             with lock:
                 calls["open"] -= 1
 
-    monkeypatch.setattr(socket, "create_connection", counted)
+    monkeypatch.setattr(agents._DeadlineSocket, "connect", counted)
     w = load_stage(1, 0)
     threads = 8
     start = threading.Barrier(threads)
@@ -673,14 +673,14 @@ def test_connections_to_one_server_are_opened_one_at_a_time(monkeypatch):
 
 def test_a_decision_waiting_to_connect_fails_by_its_deadline(monkeypatch):
     connecting = threading.Event()
-    create_connection = socket.create_connection
+    connect = agents._DeadlineSocket.connect
 
-    def slow(*args, **kwargs):
+    def slow(sock, address):
         connecting.set()
         time.sleep(0.6)
-        return create_connection(*args, **kwargs)
+        return connect(sock, address)
 
-    monkeypatch.setattr(socket, "create_connection", slow)
+    monkeypatch.setattr(agents._DeadlineSocket, "connect", slow)
     w = load_stage(1, 0)
     with serving(_KeepAliveHandler) as url:
         patient = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
@@ -697,48 +697,32 @@ def test_a_decision_waiting_to_connect_fails_by_its_deadline(monkeypatch):
             assert opening.result(timeout=60).attempt_count == 1
 
 
-class _SlowKeepAliveHandler(_KeepAliveHandler):
-    """``_KeepAliveHandler`` that takes 0.3 s per reply, and says when a
-    request has come in."""
+def test_an_address_lookup_does_not_hold_up_other_connects(monkeypatch):
+    # a lookup that waits on a slow resolver is made before the decision
+    # takes its turn to connect
+    looking_up = threading.Event()
+    resolved = threading.Event()
+    getaddrinfo = socket.getaddrinfo
 
-    received = threading.Event()
+    def first_waits(*args, **kwargs):
+        if not looking_up.is_set():
+            looking_up.set()
+            assert resolved.wait(timeout=10)
+        return getaddrinfo(*args, **kwargs)
 
-    def do_POST(self):  # noqa: N802 - http.server API
-        self.received.set()
-        time.sleep(0.3)
-        super().do_POST()
-
-
-def test_a_decision_waiting_to_connect_takes_a_connection_put_back_meanwhile(monkeypatch):
-    # after a connect that stalls, say on a resent SYN, the decisions that
-    # waited behind it take the connections put back meanwhile, rather
-    # than open new ones in one more burst
-    monkeypatch.setattr(_SlowKeepAliveHandler, "connections", 0)
-    monkeypatch.setattr(_SlowKeepAliveHandler, "received", threading.Event())
-    stalling = threading.Event()
-    calls = []
-    create_connection = socket.create_connection
-
-    def second_stalls(*args, **kwargs):
-        calls.append(args[0])
-        if len(calls) == 2:
-            stalling.set()
-            time.sleep(0.6)
-        return create_connection(*args, **kwargs)
-
-    monkeypatch.setattr(socket, "create_connection", second_stalls)
+    monkeypatch.setattr(socket, "getaddrinfo", first_waits)
     w = load_stage(1, 0)
-    with serving(_SlowKeepAliveHandler) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url, retries=0))
-        with ThreadPoolExecutor(3) as pool:
-            first = pool.submit(policy.decide, "prompt", w, 1)
-            assert _SlowKeepAliveHandler.received.wait(timeout=10)
-            stalled = pool.submit(policy.decide, "prompt", w, 1)
-            assert stalling.wait(timeout=10)
+    with serving(_KeepAliveHandler) as url:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+                                        timeout=5.0, retries=0))
+        with ThreadPoolExecutor(1) as pool:
             waiting = pool.submit(policy.decide, "prompt", w, 1)
-            exchanges = [f.result(timeout=60) for f in (first, stalled, waiting)]
-    assert all(e.attempt_count == 1 for e in exchanges)
-    assert len(calls) == 2 and _SlowKeepAliveHandler.connections == 2
+            assert looking_up.wait(timeout=10)
+            try:
+                assert policy.decide("prompt", w, 1).attempt_count == 1
+            finally:
+                resolved.set()
+            assert waiting.result(timeout=60).attempt_count == 1
 
 
 def test_policies_one_after_another_share_one_connection(monkeypatch):

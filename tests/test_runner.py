@@ -14,6 +14,7 @@ import pytest
 from bab import runner as runner_mod
 from bab.agents import AgentError, AgentSpec, RemotePolicy
 from bab.parsing import NO_COOP, Action, format_reply
+from bab.replay import read_log, replay_verify
 from bab.runner import RunConfig, run_benchmark, run_episode
 from bab.stages import StageOverrides, load_stage
 from bab.types import StageLoadError
@@ -156,8 +157,7 @@ class _ChatHandler(BaseHTTPRequestHandler):
         stub = self.server
         request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         user = next(m["content"] for m in request["messages"] if m["role"] == "user")
-        h = int.from_bytes(hashlib.sha256(user.encode("utf-8")).digest()[:8], "big")
-        text = format_reply(stub.stage_id, list(Action)[h % len(Action)], 0, NO_COOP)
+        text = format_reply(stub.stage_id, self.action(user), 0, NO_COOP)
         with stub.lock:
             stub.in_flight += 1
             stub.peak = max(stub.peak, stub.in_flight)
@@ -173,8 +173,19 @@ class _ChatHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
+    def action(self, user: str) -> Action:
+        h = int.from_bytes(hashlib.sha256(user.encode("utf-8")).digest()[:8], "big")
+        return list(Action)[h % len(Action)]
+
     def log_message(self, *args):
         pass
+
+
+class _ShootingChatHandler(_ChatHandler):
+    """``_ChatHandler`` that always shoots."""
+
+    def action(self, user: str) -> Action:
+        return Action.SHOOT
 
 
 class _KeepAliveChatHandler(_ChatHandler):
@@ -225,6 +236,34 @@ def test_remote_decisions_overlap_within_the_pool_bound(chat_stub, tmp_path):
     assert chat_stub.served == len(result.records)
     assert all(r.error is None and r.format_ok for r in result.records)
     assert decide_threads() == []
+
+
+# stage 3, seed 37: both agents, always shooting, are dead after turn 59
+# of 80, and the NPCs play on with no agent to ask
+DEAD_STAGE, DEAD_SEED = 3, 37
+
+
+def test_remote_episode_plays_on_after_every_agent_died(tmp_path):
+    with serving(_ChatStub(stage_id=DEAD_STAGE, handler=_ShootingChatHandler)) as stub:
+        spec = AgentSpec(backend="remote", model="stub", timeout=30.0,
+                         base_url=f"http://127.0.0.1:{stub.server_port}")
+        suite = RunConfig(stage_id=DEAD_STAGE, seeds=[DEAD_SEED, DEAD_SEED + 1],
+                          primary=spec, reference=spec)
+        # on the episode's own decide pool, then on a suite's shared one
+        lone = tmp_path / "lone.jsonl"
+        result = run_episode(suite, DEAD_SEED, lone)
+        out = run_benchmark([suite], tmp_path / "suite")
+    assert not result.world.live_agents()
+    cap = load_stage(DEAD_STAGE, DEAD_SEED).config.turn_cap
+    assert result.records[-1].turn + 1 < result.world.turn == cap
+    assert not (out / "failures.txt").exists()
+    in_suite = out / f"stage{DEAD_STAGE}_stub_seed{DEAD_SEED}.jsonl"
+    for path in (lone, in_suite):
+        log = read_log(path)
+        assert log.end is not None and log.end.turns == result.world.turn
+        assert log.turns[-1].turn + 1 < log.end.turns
+        assert replay_verify(log).ok
+    assert pool_threads() == []
 
 
 def test_model_name_with_a_slash_logs_into_the_out_dir(chat_stub, tmp_path):
