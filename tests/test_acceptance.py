@@ -24,7 +24,7 @@ from bab.runner import RunConfig, run_benchmark, run_episode
 from bab.stages import StageOverrides, load_stage
 from bab.types import Action, Pos
 
-from test_engine import brute_force_hit, random_configuration
+from reference import brute_force_hit, random_configuration, shot_hit
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -399,14 +399,7 @@ def test_criterion_8_shooting_oracle():
         world = random_configuration(rng)
         shooter = rng.choice(list(world.tanks.values()))
         expected = brute_force_hit(world, shooter)
-        out = apply_shoot(world, shooter.id)
-        got = {
-            "hit_wall": ("wall", out.cell),
-            "hit_tank": ("tank", out.target),
-            "hit_base": ("base", out.target),
-            "no_hit": ("none", None),
-        }[out.result]
-        if got != expected:
+        if shot_hit(apply_shoot(world, shooter.id)) != expected:
             mismatches += 1
     _report(
         8, mismatches == 0,

@@ -1,18 +1,15 @@
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
 import random
 import socket
-import ssl
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -22,7 +19,6 @@ from bab.agents import (
     AgentError,
     AgentSpec,
     GreedyPolicy,
-    RandomPolicy,
     RemotePolicy,
     make_backend,
     parse_model_name,
@@ -33,6 +29,8 @@ from bab.prompts import render_observation
 from bab.stages import StageOverrides, load_stage
 from bab.types import Orientation, Pos
 
+from chat_stub import (ChatHandler, KeepAlive, TrickleBody, TrickleHead, chat_body, serving,
+                       threads_named)
 from conftest import FIXTURE_DIR, agent, base, make_world, npc, wall_cells_for_rect
 
 
@@ -194,54 +192,19 @@ def test_canned_rejects_a_line_that_is_not_a_json_string(tmp_path, bad):
 # ----------------------------------------------------------------------
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    # (status, body) or (status, body, extra headers), consumed in order
-    script: list = []
-    requests_seen: list = []
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        length = int(self.headers["Content-Length"])
-        _StubHandler.requests_seen.append(json.loads(self.rfile.read(length)))
-        status, body, *extra = (
-            _StubHandler.script.pop(0) if _StubHandler.script else (200, "{}")
-        )
-        payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (extra[0] if extra else {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
 @pytest.fixture
 def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    # a short poll interval, so that shutdown does not wait half a second
-    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
-    thread.start()
-    _StubHandler.script = []
-    _StubHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-    server.server_close()
-
-
-def good_body(text: str) -> str:
-    return json.dumps({"choices": [{"message": {"content": text}}]})
+    with serving(ChatHandler) as stub:
+        yield stub
 
 
 def test_remote_retries_malformed_bodies_then_succeeds(stub_server):
-    _StubHandler.script = [
+    stub_server.script = [
         (200, "{\"not\": \"chat\"}"),
         (500, "oops"),
-        (200, good_body("#Operation: #Move_up#")),
+        (200, chat_body("#Operation: #Move_up#")),
     ]
-    spec = AgentSpec(backend="remote", model="test-model", base_url=stub_server,
+    spec = AgentSpec(backend="remote", model="test-model", base_url=stub_server.url,
                      retries=3)
     policy = RemotePolicy(spec, backoff_base=0.01)
     w = load_stage(1, 0)
@@ -252,8 +215,8 @@ def test_remote_retries_malformed_bodies_then_succeeds(stub_server):
 
 
 def test_remote_exhausts_budget_and_raises(stub_server):
-    _StubHandler.script = [(500, "bad")] * 4
-    spec = AgentSpec(backend="remote", model="m", base_url=stub_server, retries=3)
+    stub_server.script = [(500, "bad")] * 4
+    spec = AgentSpec(backend="remote", model="m", base_url=stub_server.url, retries=3)
     policy = RemotePolicy(spec, backoff_base=0.01)
     w = load_stage(1, 0)
     with pytest.raises(AgentError, match="after 4 attempts"):
@@ -262,12 +225,12 @@ def test_remote_exhausts_budget_and_raises(stub_server):
 
 def test_remote_retries_a_null_reply_text(stub_server):
     null = json.dumps({"choices": [{"message": {"content": None}}]})
-    spec = AgentSpec(backend="remote", model="m", base_url=stub_server, retries=1)
+    spec = AgentSpec(backend="remote", model="m", base_url=stub_server.url, retries=1)
     policy = RemotePolicy(spec, backoff_base=0.01)
     w = load_stage(1, 0)
-    _StubHandler.script = [(200, null), (200, good_body("#Operation: #Move_up#"))]
+    stub_server.script = [(200, null), (200, chat_body("#Operation: #Move_up#"))]
     assert policy.decide("prompt", w, 1).attempt_count == 2
-    _StubHandler.script = [(200, null), (200, null)]
+    stub_server.script = [(200, null), (200, null)]
     with pytest.raises(AgentError, match="after 2 attempts: missing assistant text"):
         policy.decide("prompt", w, 1)
 
@@ -285,15 +248,15 @@ def test_remote_with_nothing_listening_fails_after_its_retries():
 
 def test_remote_sends_chat_payload_with_split_prompt(stub_server, monkeypatch):
     monkeypatch.setenv("BAB_API_KEY", "sekrit")
-    _StubHandler.script = [(200, good_body("ok"))]
-    spec = AgentSpec(backend="remote", model="test-model", base_url=stub_server,
+    stub_server.script = [(200, chat_body("ok"))]
+    spec = AgentSpec(backend="remote", model="test-model", base_url=stub_server.url,
                      temperature=0.4, max_tokens=128)
     policy = RemotePolicy(spec, backoff_base=0.01)
     w = load_stage(5, 1)
     prompt = render_observation(w, 1)
     policy.decide(prompt, w, 1)
 
-    sent = _StubHandler.requests_seen[0]
+    sent = stub_server.requests_seen[0]
     assert sent["model"] == "test-model"
     assert sent["temperature"] == 0.4
     assert sent["max_tokens"] == 128
@@ -309,8 +272,8 @@ def test_remote_sends_chat_payload_with_split_prompt(stub_server, monkeypatch):
 
 
 def test_remote_decide_does_not_mutate_world(stub_server):
-    _StubHandler.script = [(200, good_body("#Operation: #Shoot#"))]
-    spec = AgentSpec(backend="remote", model="m", base_url=stub_server)
+    stub_server.script = [(200, chat_body("#Operation: #Shoot#"))]
+    spec = AgentSpec(backend="remote", model="m", base_url=stub_server.url)
     policy = RemotePolicy(spec, backoff_base=0.01)
     w = load_stage(1, 2)
     before = w.world_hash()
@@ -358,11 +321,11 @@ def clocked_policy(monkeypatch, stub_url, post_s=0.0, **spec_kw):
 
 @pytest.mark.parametrize("status", [429, 503])
 def test_remote_honours_retry_after_seconds(stub_server, monkeypatch, status):
-    _StubHandler.script = [
+    stub_server.script = [
         (status, "busy", {"Retry-After": "7"}),
-        (200, good_body("#Operation: #Shoot#")),
+        (200, chat_body("#Operation: #Shoot#")),
     ]
-    policy, clock = clocked_policy(monkeypatch, stub_server, timeout=60.0)
+    policy, clock = clocked_policy(monkeypatch, stub_server.url, timeout=60.0)
     exchange = policy.decide("prompt", load_stage(1, 0), 1)
     assert exchange.response == "#Operation: #Shoot#"
     assert exchange.attempt_count == 2
@@ -377,22 +340,22 @@ def test_remote_honours_retry_after_seconds(stub_server, monkeypatch, status):
     (503, "-3"),
 ])
 def test_remote_ignores_other_retry_after(stub_server, monkeypatch, status, retry_after):
-    _StubHandler.script = [
+    stub_server.script = [
         (status, "busy", {"Retry-After": retry_after}),
-        (200, good_body("ok")),
+        (200, chat_body("ok")),
     ]
-    policy, clock = clocked_policy(monkeypatch, stub_server)
+    policy, clock = clocked_policy(monkeypatch, stub_server.url)
     assert policy.decide("prompt", load_stage(1, 0), 1).response == "ok"
     assert len(clock.sleeps) == 1 and 0.0 <= clock.sleeps[0] <= 0.5
 
 
 def test_remote_backoff_has_full_jitter_in_bounds(stub_server, monkeypatch):
     w = load_stage(1, 0)
-    policy, clock = clocked_policy(monkeypatch, stub_server, retries=3)
+    policy, clock = clocked_policy(monkeypatch, stub_server.url, retries=3)
     random.seed(0)
     global_state = random.getstate()
     for _ in range(20):
-        _StubHandler.script = [(500, "bad")] * 4
+        stub_server.script = [(500, "bad")] * 4
         with pytest.raises(AgentError, match="after 4 attempts"):
             policy.decide("prompt", w, 1)
     assert random.getstate() == global_state  # a private generator drew them
@@ -404,8 +367,8 @@ def test_remote_backoff_has_full_jitter_in_bounds(stub_server, monkeypatch):
 
 
 def test_remote_deadline_covers_attempts_and_sleeps(stub_server, monkeypatch):
-    _StubHandler.script = [(500, "bad")] * 20
-    policy, clock = clocked_policy(monkeypatch, stub_server, post_s=2.0,
+    stub_server.script = [(500, "bad")] * 20
+    policy, clock = clocked_policy(monkeypatch, stub_server.url, post_s=2.0,
                                    timeout=7.0, retries=19)
     with pytest.raises(AgentError, match="7 s deadline"):
         policy.decide("prompt", load_stage(1, 0), 1)
@@ -417,7 +380,7 @@ def test_remote_deadline_covers_attempts_and_sleeps(stub_server, monkeypatch):
 
 
 def test_remote_attempt_times_out_at_the_deadline(stub_server, monkeypatch):
-    policy, clock = clocked_policy(monkeypatch, stub_server, post_s=100.0,
+    policy, clock = clocked_policy(monkeypatch, stub_server.url, post_s=100.0,
                                    timeout=5.0, retries=3)
     with pytest.raises(AgentError, match="5 s deadline: read timed out"):
         policy.decide("prompt", load_stage(1, 0), 1)
@@ -426,199 +389,90 @@ def test_remote_attempt_times_out_at_the_deadline(stub_server, monkeypatch):
 
 
 def test_remote_retry_after_past_the_deadline_fails_at_once(stub_server, monkeypatch):
-    _StubHandler.script = [(429, "slow down", {"Retry-After": "120"})]
-    policy, clock = clocked_policy(monkeypatch, stub_server, timeout=30.0)
+    stub_server.script = [(429, "slow down", {"Retry-After": "120"})]
+    policy, clock = clocked_policy(monkeypatch, stub_server.url, timeout=30.0)
     with pytest.raises(AgentError, match="30 s deadline: HTTP 429"):
         policy.decide("prompt", load_stage(1, 0), 1)
     assert clock.sleeps == []
-    assert len(_StubHandler.requests_seen) == 1
+    assert len(stub_server.requests_seen) == 1
 
 
 def test_remote_deadline_failure_is_a_format_invalid_turn(stub_server, monkeypatch):
     from bab.runner import _safe_decide
 
-    _StubHandler.script = [(503, "down", {"Retry-After": "120"})]
-    policy, _ = clocked_policy(monkeypatch, stub_server, timeout=30.0)
+    stub_server.script = [(503, "down", {"Retry-After": "120"})]
+    policy, _ = clocked_policy(monkeypatch, stub_server.url, timeout=30.0)
     w = load_stage(1, 0)
     exchange = _safe_decide(policy, "prompt", w, 1)
     assert "deadline" in exchange.error
     assert not parse_response(1, exchange.response).format_ok
 
 
-class _TrickleHandler(BaseHTTPRequestHandler):
-    """Sends a whole reply's headers at once, then its body one byte at a
-    time, ``pause`` seconds apart."""
-
-    body = b""
-    pause = 0.0
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        self.rfile.read(int(self.headers["Content-Length"]))
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(self.body)))
-        self.end_headers()
-        self.wfile.flush()
-        try:
-            for i in range(len(self.body)):
-                time.sleep(self.pause)
-                self.wfile.write(self.body[i:i + 1])
-                self.wfile.flush()
-        except OSError:
-            pass  # the client gave up
-
-    def log_message(self, *args):
-        pass
-
-
-@contextlib.contextmanager
-def serving(handler, tls=False):
-    """A threading HTTP server on a loopback port, as its base URL; over
-    TLS with the self-signed certificate in the fixtures when ``tls``."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    server.daemon_threads = True
-    if tls:
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(FIXTURE_DIR / "tls_cert.pem", FIXTURE_DIR / "tls_key.pem")
-        # each handler thread shakes hands on its first read, not the accepting thread
-        server.socket = context.wrap_socket(server.socket, server_side=True,
-                                            do_handshake_on_connect=False)
-    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
-    thread.start()
-    try:
-        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-
-
-@pytest.fixture
-def trickle_server():
-    with serving(_TrickleHandler) as url:
-        yield url
-
-
-def client_threads():
-    """Watchdog timers and ``bab-`` pool threads still running."""
-    return [t for t in threading.enumerate()
-            if isinstance(t, threading.Timer) or t.name.startswith("bab-")]
-
-
-def test_remote_gives_up_a_trickled_body_at_the_deadline(trickle_server, monkeypatch):
+def test_remote_gives_up_a_trickled_body_at_the_deadline():
     # every byte comes well within a read timeout, so only the deadline
     # check between reads stops the body's 60 x 50 ms = 3 s
-    monkeypatch.setattr(_TrickleHandler, "body", good_body("x" * 20).encode()[:60])
-    monkeypatch.setattr(_TrickleHandler, "pause", 0.05)
-    spec = AgentSpec(backend="remote", model="m", base_url=trickle_server,
-                     timeout=0.4, retries=0)
-    policy = RemotePolicy(spec)
-    start = time.monotonic()
-    with pytest.raises(AgentError, match="not complete by the deadline"):
-        policy.decide("prompt", load_stage(1, 0), 1)
-    assert time.monotonic() - start < 1.0
+    with serving(TrickleBody) as stub:
+        stub.script = [(200, chat_body("x" * 20)[:60])]
+        stub.pause = 0.05
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
+                                        timeout=0.4, retries=0))
+        start = time.monotonic()
+        with pytest.raises(AgentError, match="not complete by the deadline"):
+            policy.decide("prompt", load_stage(1, 0), 1)
+        assert time.monotonic() - start < 1.0
 
 
-def test_remote_assembles_a_trickled_body_within_the_deadline(trickle_server,
-                                                               monkeypatch):
-    monkeypatch.setattr(_TrickleHandler, "body", good_body("#Operation: #Shoot#").encode())
-    monkeypatch.setattr(_TrickleHandler, "pause", 0.002)
-    spec = AgentSpec(backend="remote", model="m", base_url=trickle_server,
-                     timeout=10.0, retries=0)
-    exchange = RemotePolicy(spec).decide("prompt", load_stage(1, 0), 1)
+def test_remote_assembles_a_trickled_body_within_the_deadline():
+    with serving(TrickleBody) as stub:
+        stub.pause = 0.002
+        spec = AgentSpec(backend="remote", model="m", base_url=stub.url, timeout=10.0, retries=0)
+        exchange = RemotePolicy(spec).decide("prompt", load_stage(1, 0), 1)
     assert exchange.response == "#Operation: #Shoot#"
 
 
-class _TrickleHeadHandler(BaseHTTPRequestHandler):
-    """Sends a reply's first ``at_once`` bytes at once, then the rest of
-    its status line and headers one byte every 30 ms, then its body."""
-
-    at_once = 0
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        self.rfile.read(int(self.headers["Content-Length"]))
-        body = good_body("#Operation: #Shoot#").encode()
-        head = ("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-                f"Content-Length: {len(body)}\r\n\r\n").encode()
-        try:
-            self.wfile.write(head[:self.at_once])
-            for i in range(self.at_once, len(head)):
-                time.sleep(0.03)
-                self.wfile.write(head[i:i + 1])
-            self.wfile.write(body)
-        except OSError:
-            pass  # the client gave up
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.mark.parametrize("at_once", [0, len(b"HTTP/1.1 200 OK\r\n")],
-                         ids=["status-line", "headers"])
-def test_remote_gives_up_a_trickled_head_at_the_deadline(monkeypatch, at_once):
-    # about 70 bytes at 30 ms each take 2 s; the watchdog cuts them at 0.4 s
-    monkeypatch.setattr(_TrickleHeadHandler, "at_once", at_once)
-    with serving(_TrickleHeadHandler) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+def assert_trickled_head_given_up(at_once, tls=False):
+    # about 70 bytes at 30 ms each take 2 s; the socket's deadline cuts them at 0.4 s
+    with serving(TrickleHead, tls) as stub:
+        stub.at_once = at_once
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
                                         timeout=0.4, retries=0))
         start = time.monotonic()
         with pytest.raises(AgentError, match="not complete by the deadline"):
             policy.decide("prompt", load_stage(1, 0), 1)
         assert time.monotonic() - start < 0.4 + 0.3  # one 30 ms wait, and slack
-        assert client_threads() == []
+        assert threads_named() == []
 
 
-class _KeepAliveHandler(BaseHTTPRequestHandler):
-    """An HTTP/1.1 chat stub that counts the connections it accepts, and
-    closes each one after its first reply when ``close_after_reply``,
-    without saying so in the reply."""
-
-    protocol_version = "HTTP/1.1"
-    connections = 0
-    close_after_reply = False
-
-    def setup(self):
-        super().setup()
-        type(self).connections += 1
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        self.rfile.read(int(self.headers["Content-Length"]))
-        body = good_body("#Operation: #Shoot#").encode()
-        self.send_response(200)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self.close_connection = self.close_after_reply
-
-    def log_message(self, *args):
-        pass
+@pytest.mark.parametrize("at_once", [0, len(b"HTTP/1.1 200 OK\r\n")],
+                         ids=["status-line", "headers"])
+def test_remote_gives_up_a_trickled_head_at_the_deadline(at_once):
+    assert_trickled_head_given_up(at_once)
 
 
 @pytest.mark.parametrize("close_after_reply, connections", [(False, 1), (True, 4)])
-def test_remote_keeps_one_connection_alive(monkeypatch, close_after_reply, connections):
+def test_remote_keeps_one_connection_alive(close_after_reply, connections):
     # an idle connection that the server closed costs no attempt
-    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
-    monkeypatch.setattr(_KeepAliveHandler, "close_after_reply", close_after_reply)
     w = load_stage(1, 0)
-    with serving(_KeepAliveHandler) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url))
+    with serving(KeepAlive) as stub:
+        stub.close_after_reply = close_after_reply
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url))
         for _ in range(4):
             exchange = policy.decide("prompt", w, 1)
             assert (exchange.response, exchange.attempt_count) == ("#Operation: #Shoot#", 1)
-            assert client_threads() == []
-    assert _KeepAliveHandler.connections == connections
+            assert threads_named() == []
+    assert stub.connections == connections
 
 
-def test_concurrent_decisions_share_the_idle_connections(monkeypatch):
+def test_concurrent_decisions_share_the_idle_connections():
     # more threads than cores, switching often: a connection taken twice
     # garbles its replies, and one lost on its way back is opened again
-    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
     w = load_stage(1, 0)
     threads = 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with serving(_KeepAliveHandler) as url:
-            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+        with serving(KeepAlive) as stub:
+            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
                                             retries=0))
             with ThreadPoolExecutor(threads) as pool:
                 exchanges = list(pool.map(lambda _: policy.decide("prompt", w, 1), range(200),
@@ -626,7 +480,7 @@ def test_concurrent_decisions_share_the_idle_connections(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all((e.response, e.attempt_count) == ("#Operation: #Shoot#", 1) for e in exchanges)
-    assert 1 <= _KeepAliveHandler.connections <= threads
+    assert 1 <= stub.connections <= threads
 
 
 def test_connections_to_one_server_are_opened_one_at_a_time(monkeypatch):
@@ -660,8 +514,8 @@ def test_connections_to_one_server_are_opened_one_at_a_time(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with serving(_KeepAliveHandler) as url:
-            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+        with serving(KeepAlive) as stub:
+            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
                                             retries=0))
             with ThreadPoolExecutor(threads) as pool:
                 exchanges = list(pool.map(first_decision, [policy] * threads, timeout=60))
@@ -682,10 +536,10 @@ def test_a_decision_waiting_to_connect_fails_by_its_deadline(monkeypatch):
 
     monkeypatch.setattr(agents._DeadlineSocket, "connect", slow)
     w = load_stage(1, 0)
-    with serving(_KeepAliveHandler) as url:
-        patient = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+    with serving(KeepAlive) as stub:
+        patient = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
                                          timeout=30.0, retries=0))
-        hasty = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+        hasty = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
                                        timeout=0.2, retries=0))
         with ThreadPoolExecutor(1) as pool:
             opening = pool.submit(patient.decide, "prompt", w, 1)
@@ -712,8 +566,8 @@ def test_an_address_lookup_does_not_hold_up_other_connects(monkeypatch):
 
     monkeypatch.setattr(socket, "getaddrinfo", first_waits)
     w = load_stage(1, 0)
-    with serving(_KeepAliveHandler) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
+    with serving(KeepAlive) as stub:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url,
                                         timeout=5.0, retries=0))
         with ThreadPoolExecutor(1) as pool:
             waiting = pool.submit(policy.decide, "prompt", w, 1)
@@ -725,25 +579,24 @@ def test_an_address_lookup_does_not_hold_up_other_connects(monkeypatch):
             assert waiting.result(timeout=60).attempt_count == 1
 
 
-def test_policies_one_after_another_share_one_connection(monkeypatch):
-    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
+def test_policies_one_after_another_share_one_connection():
     w = load_stage(1, 0)
-    with serving(_KeepAliveHandler) as url:
+    with serving(KeepAlive) as stub:
         for _ in range(2):
-            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url))
+            policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url))
             assert policy.decide("prompt", w, 1).attempt_count == 1
-        assert _KeepAliveHandler.connections == 1
+        assert stub.connections == 1
         agents.close_idle_connections()
         assert policy.decide("prompt", w, 1).attempt_count == 1
-    assert _KeepAliveHandler.connections == 2
+    assert stub.connections == 2
 
 
 def test_idle_connections_are_closed_at_exit():
     # a socket the interpreter finalizes at exit warns in dev mode
     src = str(Path(agents.__file__).parents[1])
-    with serving(_KeepAliveHandler) as url:
+    with serving(KeepAlive) as stub:
         code = ("from bab.agents import AgentSpec, RemotePolicy; from bab.stages import load_stage; "
-                f"spec = AgentSpec(backend='remote', model='m', base_url={url!r}); "
+                f"spec = AgentSpec(backend='remote', model='m', base_url={stub.url!r}); "
                 "assert RemotePolicy(spec).decide('prompt', load_stage(1, 0), 1).attempt_count == 1")
         child = subprocess.run([sys.executable, "-X", "dev", "-c", code], capture_output=True,
                                text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
@@ -762,36 +615,26 @@ def trust_fixture_cert(monkeypatch):
     monkeypatch.delenv("SSL_CERT_DIR", raising=False)
 
 
-def test_remote_keeps_one_tls_connection_alive(monkeypatch, trust_fixture_cert):
-    monkeypatch.setattr(_KeepAliveHandler, "connections", 0)
+def test_remote_keeps_one_tls_connection_alive(trust_fixture_cert):
     w = load_stage(1, 0)
-    with serving(_KeepAliveHandler, tls=True) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url))
+    with serving(KeepAlive, tls=True) as stub:
+        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=stub.url))
         for _ in range(3):
             exchange = policy.decide("prompt", w, 1)
             assert (exchange.response, exchange.attempt_count) == ("#Operation: #Shoot#", 1)
-    assert _KeepAliveHandler.connections == 1
+    assert stub.connections == 1
 
 
 @pytest.mark.parametrize("at_once", [0, len(b"HTTP/1.1 200 OK\r\n")],
                          ids=["status-line", "headers"])
-def test_remote_gives_up_a_trickled_tls_head_at_the_deadline(monkeypatch, trust_fixture_cert,
-                                                            at_once):
-    monkeypatch.setattr(_TrickleHeadHandler, "at_once", at_once)
-    with serving(_TrickleHeadHandler, tls=True) as url:
-        policy = RemotePolicy(AgentSpec(backend="remote", model="m", base_url=url,
-                                        timeout=0.4, retries=0))
-        start = time.monotonic()
-        with pytest.raises(AgentError, match="not complete by the deadline"):
-            policy.decide("prompt", load_stage(1, 0), 1)
-        assert time.monotonic() - start < 0.4 + 0.3  # one 30 ms wait, and slack
-        assert client_threads() == []
+def test_remote_gives_up_a_trickled_tls_head_at_the_deadline(trust_fixture_cert, at_once):
+    assert_trickled_head_given_up(at_once, tls=True)
 
 
 def test_remote_refuses_a_certificate_it_does_not_trust(monkeypatch, trust_fixture_cert):
     w = load_stage(1, 0)
-    with serving(_KeepAliveHandler, tls=True) as url:
-        spec = AgentSpec(backend="remote", model="m", base_url=url, retries=0)
+    with serving(KeepAlive, tls=True) as stub:
+        spec = AgentSpec(backend="remote", model="m", base_url=stub.url, retries=0)
         assert RemotePolicy(spec).decide("prompt", w, 1).attempt_count == 1
         # the connection verified under the fixture CA stays idle, but a
         # policy that no longer trusts that CA does not take it

@@ -5,9 +5,6 @@ import random
 import pytest
 
 from bab.engine import (
-    _ray_start,
-    _resolve_base_hit,
-    _resolve_tank_hit,
     apply_move,
     apply_shoot,
     check_termination,
@@ -27,13 +24,13 @@ from bab.types import (
     Orientation,
     Outcome,
     Pos,
-    TankKind,
     UnknownEntityError,
     WallGrid,
-    first_overlapping,
 )
 
 from conftest import agent, base, make_world, npc, wall_cells_for_rect
+from reference import (brute_force_hit, marched_shot, overlapping_pairs, random_configuration,
+                       shot_hit)
 
 
 def parsed(action: Action, target: int | None = None) -> ParsedAction:
@@ -171,103 +168,6 @@ def test_npc_shooter_never_scores():
 # ----------------------------------------------------------------------
 
 
-def brute_force_hit(world, shooter):
-    """Independent minimum-distance scan over every cell and footprint on
-    the shooter's centerline ray (unlimited range)."""
-    dx, dy = shooter.facing.delta
-    cx = shooter.pos.x + 16
-    cy = shooter.pos.y + 16
-    hits = []
-
-    def along(lo: int, hi: int) -> float | None:
-        # distance at which the ray enters [lo, hi) on its travel axis,
-        # measured from the shooter's footprint edge; None if behind
-        if dx:
-            start = shooter.pos.x + (32 if dx > 0 else 0)
-            if dx > 0:
-                d = lo - start
-                return d if hi > start and d >= -32 and lo >= start else None
-            d = start - hi
-            return d if lo < start and hi <= start else None
-        start = shooter.pos.y + (32 if dy > 0 else 0)
-        if dy > 0:
-            return lo - start if lo >= start else None
-        return start - hi if hi <= start else None
-
-    for (wx, wy) in world.walls.cells:
-        x0, y0, x1, y1 = wx * 8, wy * 8, wx * 8 + 8, wy * 8 + 8
-        if dx and not (y0 <= cy < y1):
-            continue
-        if dy and not (x0 <= cx < x1):
-            continue
-        d = along(x0, x1) if dx else along(y0, y1)
-        if d is not None:
-            hits.append((d, "wall", (x0, y0)))
-    for t in world.tanks.values():
-        if not t.alive or t.id == shooter.id:
-            continue
-        x0, y0, x1, y1 = t.pos.x, t.pos.y, t.pos.x + 32, t.pos.y + 32
-        if dx and not (y0 <= cy < y1):
-            continue
-        if dy and not (x0 <= cx < x1):
-            continue
-        d = along(x0, x1) if dx else along(y0, y1)
-        if d is not None:
-            hits.append((d, "tank", t.id))
-    for b in world.bases.values():
-        if not b.blocking:
-            continue
-        x0, y0, x1, y1 = b.pos.x, b.pos.y, b.pos.x + 32, b.pos.y + 32
-        if dx and not (y0 <= cy < y1):
-            continue
-        if dy and not (x0 <= cx < x1):
-            continue
-        d = along(x0, x1) if dx else along(y0, y1)
-        if d is not None:
-            hits.append((d, "base", b.id))
-    if not hits:
-        return ("none", None)
-    d, kind, detail = min(hits, key=lambda h: h[0])
-    return (kind, detail)
-
-
-def random_configuration(rng: random.Random):
-    tanks = []
-    bases = []
-    occupied = []
-
-    def free(x, y, size=32):
-        return all(
-            x >= ox + osz or ox >= x + size or y >= oy + osz or oy >= y + size
-            for ox, oy, osz in occupied
-        )
-
-    for i in range(rng.randint(2, 6)):
-        for _ in range(50):
-            x, y = rng.randrange(0, 61) * 8, rng.randrange(0, 61) * 8
-            if free(x, y):
-                kind = agent if rng.random() < 0.5 else npc
-                team = rng.randint(0, 1)
-                t = agent(i + 1, x, y, team=team) if kind is agent else npc(i + 1, x, y)
-                t.facing = rng.choice(list(Orientation))
-                tanks.append(t)
-                occupied.append((x, y, 32))
-                break
-    for j in range(rng.randint(0, 2)):
-        for _ in range(50):
-            x, y = rng.randrange(0, 61) * 8, rng.randrange(0, 61) * 8
-            if free(x, y):
-                bases.append(base(101 + j, x, y, team=j))
-                occupied.append((x, y, 32))
-                break
-    walls = set()
-    for _ in range(rng.randint(0, 80)):
-        cx, cy = rng.randrange(64), rng.randrange(64)
-        if free(cx * 8, cy * 8, 8):
-            walls.add((cx, cy))
-    return make_world(tanks, bases, walls)
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_shoot_matches_brute_force_oracle(seed):
     rng = random.Random(seed)
@@ -275,42 +175,12 @@ def test_shoot_matches_brute_force_oracle(seed):
         w = random_configuration(rng)
         shooter = rng.choice(list(w.tanks.values()))
         expected = brute_force_hit(w, shooter)
-        out = apply_shoot(w, shooter.id)
-        got = {
-            "hit_wall": ("wall", out.cell),
-            "hit_tank": ("tank", out.target),
-            "hit_base": ("base", out.target),
-            "no_hit": ("none", None),
-        }[out.result]
-        assert got == expected
+        assert shot_hit(apply_shoot(w, shooter.id)) == expected
 
 
 # ----------------------------------------------------------------------
 # one-pass ray vs the 8-px march
 # ----------------------------------------------------------------------
-
-
-def marched_shot(world, shooter_id):
-    """Reference: march the ray 8 px at a time and test, at each sample,
-    the wall cell, then every live tank, then every blocking base."""
-    shooter = world.require_tank(shooter_id)
-    dx, dy = shooter.facing.delta
-    px, py = _ray_start(shooter)
-    while 0 <= px < 512 and 0 <= py < 512:
-        cell = world.walls.cell_at(px, py)
-        if cell is not None:
-            world.walls.remove(*cell)
-            return Outcome("hit_wall", cell=Pos(cell[0] * 8, cell[1] * 8))
-        target = first_overlapping(world.tanks.values(), px, py, 1, 1,
-                                   lambda t: t.alive and t.id != shooter_id)
-        if target is not None:
-            return _resolve_tank_hit(world, shooter, target)
-        base = first_overlapping(world.bases.values(), px, py, 1, 1, lambda b: b.blocking)
-        if base is not None:
-            return _resolve_base_hit(world, shooter, base)
-        px += dx * 8
-        py += dy * 8
-    return Outcome("no_hit")
 
 
 def shot_effects(world, shoot, shooter_id):
@@ -565,36 +435,6 @@ def test_turn_cap_reached():
 # ----------------------------------------------------------------------
 # conservation and exclusivity under fuzzing
 # ----------------------------------------------------------------------
-
-
-def overlapping_pairs(world):
-    """Every overlapping pair of solids that involves a tank or a base.
-
-    Wall cells are distinct points of one 8-px lattice, so two of them
-    never overlap and wall-wall pairs are not compared.
-    """
-    solids = [
-        ("tank", t.id, t.pos.x, t.pos.y, 32)
-        for t in world.tanks.values()
-        if t.alive
-    ]
-    solids += [
-        ("base", b.id, b.pos.x, b.pos.y, 32)
-        for b in world.bases.values()
-        if b.blocking
-    ]
-    movers = len(solids)
-    solids += [
-        ("wall", (cx, cy), cx * 8, cy * 8, 8) for cx, cy in world.walls.cells
-    ]
-    bad = []
-    for i in range(movers):
-        for j in range(i + 1, len(solids)):
-            _, _, ax, ay, asz = solids[i]
-            _, _, bx, by, bsz = solids[j]
-            if ax < bx + bsz and bx < ax + asz and ay < by + bsz and by < ay + asz:
-                bad.append((solids[i][:2], solids[j][:2]))
-    return bad
 
 
 @pytest.mark.parametrize("seed", [11, 23])

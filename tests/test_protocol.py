@@ -22,14 +22,13 @@ from bab.parsing import (
 from bab.prompts import (
     _PHRASES,
     LOCALES,
-    MAP_WINDOW,
     _nearby_walls,
     feedback_text,
     load_template,
     render_observation,
     render_turn,
 )
-from bab.stages import coop_format, load_stage
+from bab.stages import load_stage
 from bab.types import (
     Action,
     Blocker,
@@ -44,6 +43,7 @@ from bab.types import (
 )
 
 from conftest import agent, base, make_world
+from reference import cell_sets, full_scan_walls, render_each, turn_replies
 
 SLOT_RE = re.compile(r"\{\{(\w+)\}\}")
 ALL_STAGES = list(range(1, 8))
@@ -240,29 +240,6 @@ def test_locale_phrases(locale):
 # ----------------------------------------------------------------------
 
 
-def full_scan_walls(world, tank):
-    """Reference: sort and scan every wall cell, keeping those whose centre
-    is within the window (and ahead of the tank on navigation stages)."""
-    cx, cy = tank.center
-    forward_only = world.config.goal is Goal.NAVIGATION
-    dx, dy = tank.facing.delta
-    cells = []
-    for wx, wy in sorted(world.walls.cells):
-        x, y = wx * 8, wy * 8
-        mx, my = x + 4, y + 4
-        if max(abs(mx - cx), abs(my - cy)) > MAP_WINDOW + 16:
-            continue
-        if forward_only and (mx - cx) * dx + (my - cy) * dy < 0:
-            continue
-        cells.append((x, y))
-    return cells
-
-
-def wall_text(cells):
-    """The report's text for a list of wall-cell origins."""
-    return ", ".join(f"({x}, {y})" for x, y in cells)
-
-
 # tank origins: the map edges, the 8-px lattice, any pixel, and origins
 # whose centre (origin + 16) is a cell centre 8 * i + 4, where the
 # half-plane ahead of the tank includes that cell's row or column
@@ -277,18 +254,9 @@ wall_edits = st.lists(st.tuples(st.sampled_from(["add", "remove"]), lattice, lat
                       max_size=12)
 
 
-@st.composite
-def wall_sets(draw):
-    """Every lattice cell present with one drawn probability, from sparse
-    maps to a full lattice."""
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9, 1.0]))
-    return {(x, y) for x in range(64) for y in range(64) if rng.random() < density}
-
-
 @given(
     data=st.data(),
-    walls=wall_sets(),
+    walls=cell_sets(),
     goal=st.sampled_from([Goal.NAVIGATION, Goal.COMPETITIVE]),
 )
 # no shrink phase: shrinking a failing example of these dense wall sets
@@ -305,7 +273,7 @@ def test_nearby_walls_matches_full_scan(data, walls, goal):
         tank.pos = Pos(data.draw(tank_coord), data.draw(tank_coord))
         for facing in Orientation:
             tank.facing = facing
-            assert _nearby_walls(w, tank) == wall_text(full_scan_walls(w, tank))
+            assert _nearby_walls(w, tank) == full_scan_walls(w, tank)
         for op, cx, cy in data.draw(wall_edits):
             getattr(w.walls, op)(cx, cy)
 
@@ -336,28 +304,6 @@ def test_rendering_leaves_the_world_unchanged(stage_id):
     assert [c in world.walls for c in lattice_cells] == [c in fresh for c in lattice_cells]
 
 
-def turn_replies(world, draw, turn):
-    """Every live agent's reply for one turn. On cooperation stages the
-    first two turns are canned: the lowest agent asks the next one, which
-    keeps (accepts) the turn after; later replies are drawn."""
-    stage_id = world.config.stage_id
-    ids = [a.id for a in world.live_agents()]
-    canned = {}
-    if coop_format(stage_id) and len(ids) > 1 and turn < 2:
-        sender, recipient = ids[:2]
-        canned = ({sender: CoopCommand(CoopKind.REQUEST, recipient, "push together")},
-                  {recipient: CoopCommand(CoopKind.KEEP)})[turn]
-    coops = st.one_of(st.none(), st.sampled_from([NO_COOP, CoopCommand(CoopKind.KEEP),
-                                                  CoopCommand(CoopKind.STOP)]),
-                      st.sampled_from(ids).map(lambda to: CoopCommand(CoopKind.REQUEST, to, "go")))
-    return {
-        agent_id: format_reply(stage_id, draw(st.sampled_from(list(Action))),
-                               draw(st.sampled_from(sorted(world.tanks))),
-                               canned[agent_id] if agent_id in canned else draw(coops))
-        for agent_id in ids
-    }
-
-
 @given(
     data=st.data(),
     stage_id=st.sampled_from(ALL_STAGES),
@@ -373,10 +319,14 @@ def test_render_turn_equals_one_render_per_agent(data, stage_id, seed, locale, c
     agent the prompt it gets rendered alone, in the order asked."""
     world = load_stage(stage_id, seed)
     last_records = {}
-    for turn in range(data.draw(st.integers(min_value=0, max_value=12), label="turns")):
+
+    def pick(options):
+        return data.draw(st.sampled_from(options))
+
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12), label="turns")):
         if world.status is not None:
             break
-        _, records = play_turn(world, turn_replies(world, data.draw, turn), coop_enabled)
+        _, records = play_turn(world, turn_replies(world, pick), coop_enabled)
         last_records.update((r.agent, r) for r in records)
     if stage_id == 3 and coop_enabled and world.turn >= 2:
         assert world.coop_history
@@ -387,11 +337,7 @@ def test_render_turn_equals_one_render_per_agent(data, stage_id, seed, locale, c
                              label="destroyed"):
         world.bases[base_id].destroyed = True
     ids = data.draw(st.permutations([a.id for a in world.live_agents()]), label="ids")
-    alone = [
-        render_observation(world, agent_id, locale, last_record=last_records.get(agent_id),
-                           coop_enabled=coop_enabled)
-        for agent_id in ids
-    ]
+    alone = render_each(world, ids, locale, last_records, coop_enabled)
     assert render_turn(world, ids, locale, last_records, coop_enabled) == alone
 
 

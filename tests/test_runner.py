@@ -1,23 +1,20 @@
 from __future__ import annotations
 
-import contextlib
-import hashlib
 import itertools
 import json
-import random
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from bab import runner as runner_mod
 from bab.agents import AgentError, AgentSpec, RemotePolicy
-from bab.parsing import NO_COOP, Action, format_reply
 from bab.replay import read_log, replay_verify
 from bab.runner import RunConfig, run_benchmark, run_episode
 from bab.stages import StageOverrides, load_stage
 from bab.types import StageLoadError
+
+from chat_stub import (ChatStub, HashedReply, KeepAliveHashedReply, ShootingReply, serving,
+                       threads_named)
 
 
 def config(stage_id=4, primary="random", **kw):
@@ -128,104 +125,16 @@ def test_run_episode_counts_remote_failures_as_invalid_turns(tmp_path):
 # ----------------------------------------------------------------------
 
 
-class _ChatStub(ThreadingHTTPServer):
-    """Replies from a hash of the user message, after a random delay, so
-    that a turn's replies come back out of order."""
-
-    daemon_threads = True
-    # a suite has up to 24 requests in flight, each on its own connection;
-    # past the listen backlog a connection waits a second for its SYN to be
-    # resent
-    request_queue_size = 64
-
-    def __init__(self, stage_id: int, handler=None) -> None:
-        super().__init__(("127.0.0.1", 0), handler or _ChatHandler)
-        self.stage_id = stage_id
-        self.lock = threading.Lock()
-        self.delays = random.Random()
-        self.delay_range = (0.001, 0.015)
-        self.in_flight = 0
-        self.peak = 0
-        self.served = 0
-        self.connections = 0
-
-
-class _ChatHandler(BaseHTTPRequestHandler):
-    server: _ChatStub
-
-    def do_POST(self):  # noqa: N802 - http.server API
-        stub = self.server
-        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        user = next(m["content"] for m in request["messages"] if m["role"] == "user")
-        text = format_reply(stub.stage_id, self.action(user), 0, NO_COOP)
-        with stub.lock:
-            stub.in_flight += 1
-            stub.peak = max(stub.peak, stub.in_flight)
-            stub.served += 1
-            delay = stub.delays.uniform(*stub.delay_range)
-        time.sleep(delay)
-        with stub.lock:
-            stub.in_flight -= 1
-        payload = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def action(self, user: str) -> Action:
-        h = int.from_bytes(hashlib.sha256(user.encode("utf-8")).digest()[:8], "big")
-        return list(Action)[h % len(Action)]
-
-    def log_message(self, *args):
-        pass
-
-
-class _ShootingChatHandler(_ChatHandler):
-    """``_ChatHandler`` that always shoots."""
-
-    def action(self, user: str) -> Action:
-        return Action.SHOOT
-
-
-class _KeepAliveChatHandler(_ChatHandler):
-    """``_ChatHandler`` over HTTP/1.1 connections that stay open, counted
-    as the stub accepts them."""
-
-    protocol_version = "HTTP/1.1"
-
-    def setup(self):
-        super().setup()
-        with self.server.lock:
-            self.server.connections += 1
-
-
-@contextlib.contextmanager
-def serving(stub: _ChatStub):
-    thread = threading.Thread(target=stub.serve_forever, args=(0.02,), daemon=True)
-    thread.start()
-    try:
-        yield stub
-    finally:
-        stub.shutdown()
-        stub.server_close()
-
-
 @pytest.fixture
 def chat_stub():
-    with serving(_ChatStub(stage_id=7)) as server:
-        yield server
+    with serving(HashedReply) as stub:
+        yield stub
 
 
 def remote_config(stub, turns=6, model="stub"):
-    spec = AgentSpec(backend="remote", model=model,
-                     base_url=f"http://127.0.0.1:{stub.server_port}", timeout=30.0)
+    spec = AgentSpec(backend="remote", model=model, base_url=stub.url, timeout=30.0)
     return RunConfig(stage_id=7, seeds=[3], primary=spec, reference=spec,
                      overrides=StageOverrides(turns=turns))
-
-
-def decide_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("bab-decide")]
 
 
 def test_remote_decisions_overlap_within_the_pool_bound(chat_stub, tmp_path):
@@ -235,7 +144,7 @@ def test_remote_decisions_overlap_within_the_pool_bound(chat_stub, tmp_path):
     assert 2 <= chat_stub.peak <= 1 + min(runner_mod.MAX_DECIDE_WORKERS, agents - 1)
     assert chat_stub.served == len(result.records)
     assert all(r.error is None and r.format_ok for r in result.records)
-    assert decide_threads() == []
+    assert threads_named("bab-decide") == []
 
 
 # stage 3, seed 37: both agents, always shooting, are dead after turn 59
@@ -244,9 +153,8 @@ DEAD_STAGE, DEAD_SEED = 3, 37
 
 
 def test_remote_episode_plays_on_after_every_agent_died(tmp_path):
-    with serving(_ChatStub(stage_id=DEAD_STAGE, handler=_ShootingChatHandler)) as stub:
-        spec = AgentSpec(backend="remote", model="stub", timeout=30.0,
-                         base_url=f"http://127.0.0.1:{stub.server_port}")
+    with serving(ChatStub(ShootingReply, stage_id=DEAD_STAGE)) as stub:
+        spec = AgentSpec(backend="remote", model="stub", timeout=30.0, base_url=stub.url)
         suite = RunConfig(stage_id=DEAD_STAGE, seeds=[DEAD_SEED, DEAD_SEED + 1],
                           primary=spec, reference=spec)
         # on the episode's own decide pool, then on a suite's shared one
@@ -263,7 +171,7 @@ def test_remote_episode_plays_on_after_every_agent_died(tmp_path):
         assert log.end is not None and log.end.turns == result.world.turn
         assert log.turns[-1].turn + 1 < log.end.turns
         assert replay_verify(log).ok
-    assert pool_threads() == []
+    assert threads_named() == []
 
 
 def test_model_name_with_a_slash_logs_into_the_out_dir(chat_stub, tmp_path):
@@ -305,17 +213,19 @@ def test_concurrent_turn_records_follow_live_agent_order(chat_stub, tmp_path):
         assert agents == [a for a in opening if a in agents]
 
 
-def _one_agent_raises(monkeypatch, failing_agent, exc):
-    """Bind ``failing_agent`` to a remote backend whose decide raises ``exc``."""
+def _one_agent_raises(monkeypatch, failing_agent, exc, first_bound_only=False):
+    """Bind ``failing_agent`` to a remote backend whose decide raises
+    ``exc``: in every episode, or in the first episode that binds it."""
 
     class Failing(RemotePolicy):
         def decide(self, prompt, world, agent_id):
             raise exc
 
     make_backend = runner_mod.make_backend
+    bound = itertools.count()
 
     def bind(spec, stage_id, agent_id, coop_enabled=True):
-        if agent_id == failing_agent:
+        if agent_id == failing_agent and not (first_bound_only and next(bound)):
             return Failing(spec)
         return make_backend(spec, stage_id, agent_id, coop_enabled)
 
@@ -332,7 +242,7 @@ def test_agent_error_in_a_worker_is_that_agents_invalid_turn(chat_stub, tmp_path
                           for r in failed)
     assert others and all(r.error is None and r.format_ok for r in others)
     assert result.world.turn == 6
-    assert decide_threads() == []
+    assert threads_named("bab-decide") == []
 
 
 def test_other_worker_exception_fails_the_episode(chat_stub, tmp_path, monkeypatch):
@@ -340,7 +250,7 @@ def test_other_worker_exception_fails_the_episode(chat_stub, tmp_path, monkeypat
     out = run_benchmark([remote_config(chat_stub)], tmp_path / "suite")
     assert "stage7 seed3: backend bug" in (out / "failures.txt").read_text()
     assert not (out / "episodes.csv").exists()
-    assert decide_threads() == []
+    assert threads_named("bab-decide") == []
 
 
 def test_local_backends_open_no_pool(monkeypatch, tmp_path):
@@ -400,11 +310,6 @@ def remote_suite(stub, turns=4, seeds=SUITE_SEEDS):
     return suite
 
 
-def pool_threads():
-    return [t for t in threading.enumerate()
-            if t.name.startswith(("bab-episode", "bab-decide"))]
-
-
 def test_concurrent_suite_matches_one_episode_at_a_time(chat_stub, tmp_path, monkeypatch):
     def run(name):
         out = run_benchmark([remote_suite(chat_stub)], tmp_path / name)
@@ -421,7 +326,7 @@ def test_concurrent_suite_matches_one_episode_at_a_time(chat_stub, tmp_path, mon
     sequential = run("one")
     assert len(concurrent[1]) == len(SUITE_SEEDS)
     assert concurrent == sequential
-    assert pool_threads() == []
+    assert threads_named() == []
 
 
 def test_remote_suite_requests_stay_within_the_bound(chat_stub, tmp_path):
@@ -434,7 +339,7 @@ def test_remote_suite_requests_stay_within_the_bound(chat_stub, tmp_path):
     assert chat_stub.peak > 3 * len(load_stage(7, 3).live_agents())
     assert len((out / "episodes.csv").read_text().splitlines()) == 1 + len(suite.seeds)
     assert not (out / "failures.txt").exists()
-    assert pool_threads() == []
+    assert threads_named() == []
 
 
 def test_failed_episodes_are_listed_in_submission_order(chat_stub, tmp_path, monkeypatch):
@@ -454,32 +359,20 @@ def test_failed_episodes_are_listed_in_submission_order(chat_stub, tmp_path, mon
         "stage7 seed4: late failure\nstage7 seed6: early failure\n")
     rows = (out / "episodes.csv").read_text().splitlines()[1:]
     assert [int(row.split(",")[2]) for row in rows] == [3, 5, 7]
-    assert pool_threads() == []
+    assert threads_named() == []
 
 
 def test_other_worker_exception_fails_only_its_episode_of_a_suite(chat_stub, tmp_path,
                                                                   monkeypatch):
     # the failed episode's turn leaves nothing on the suite's decide pool,
     # which goes on serving the other episodes
-    make_backend = runner_mod.make_backend
-    bound = itertools.count()
-
-    class Failing(RemotePolicy):
-        def decide(self, prompt, world, agent_id):
-            raise RuntimeError("backend bug")
-
-    def bind(spec, stage_id, agent_id, coop_enabled=True):
-        if agent_id == 4 and next(bound) == 0:  # one episode's agent 4
-            return Failing(spec)
-        return make_backend(spec, stage_id, agent_id, coop_enabled)
-
-    monkeypatch.setattr(runner_mod, "make_backend", bind)
+    _one_agent_raises(monkeypatch, 4, RuntimeError("backend bug"), first_bound_only=True)
     out = run_benchmark([remote_suite(chat_stub)], tmp_path / "suite")
     failures = (out / "failures.txt").read_text().splitlines()
     assert len(failures) == 1 and failures[0].endswith(": backend bug")
     rows = (out / "episodes.csv").read_text().splitlines()[1:]
     assert len(rows) == len(SUITE_SEEDS) - 1
-    assert pool_threads() == []
+    assert threads_named() == []
 
 
 def test_interrupted_suite_starts_no_queued_episode(chat_stub, tmp_path, monkeypatch):
@@ -507,15 +400,14 @@ def test_interrupted_suite_starts_no_queued_episode(chat_stub, tmp_path, monkeyp
         assert "turn" in kinds and "end" not in kinds
         assert json.loads(path.read_text().splitlines()[-1])["turn"] < 39
     assert not (out / "episodes.csv").exists() and not (out / "failures.txt").exists()
-    assert pool_threads() == []
+    assert threads_named() == []
 
 
 def test_a_later_suite_reuses_the_connections_of_an_earlier_one(tmp_path):
-    with serving(_ChatStub(stage_id=5, handler=_KeepAliveChatHandler)) as stub:
+    with serving(ChatStub(KeepAliveHashedReply, stage_id=5)) as stub:
         # every reply takes long enough that a turn's requests overlap
         stub.delay_range = (0.05, 0.05)
-        spec = AgentSpec(backend="remote", model="stub", timeout=30.0,
-                         base_url=f"http://127.0.0.1:{stub.server_port}")
+        spec = AgentSpec(backend="remote", model="stub", timeout=30.0, base_url=stub.url)
         suite = RunConfig(stage_id=5, seeds=[0, 1, 2], primary=spec, reference=spec,
                           overrides=StageOverrides(turns=3))
         run_benchmark([suite], tmp_path / "first")

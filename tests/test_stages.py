@@ -4,14 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bab
-from bab import stages
 from bab.stages import (
     STAGE_SETTINGS,
     StageOverrides,
@@ -23,14 +21,11 @@ from bab.types import (
     AGENT_HEALTH,
     NPC_HEALTH,
     CoopTopology,
-    Goal,
-    Pos,
     StageLoadError,
     TankKind,
-    first_overlapping,
 )
 
-from test_engine import overlapping_pairs
+from reference import overlapping_pairs, reference_load
 
 
 def test_stage1_counts():
@@ -217,60 +212,6 @@ def test_importing_bab_loads_no_yaml():
 # ----------------------------------------------------------------------
 # load_stage against the simple path
 # ----------------------------------------------------------------------
-
-
-def set_overlaps(cells: set, x: int, y: int, w: int, h: int) -> bool:
-    """Whether a cell of the set intersects the half-open pixel rect."""
-    return any((cx, cy) in cells
-               for cy in range(max(0, y // 8), min(63, (y + h - 1) // 8) + 1)
-               for cx in range(max(0, x // 8), min(63, (x + w - 1) // 8) + 1))
-
-
-def reference_npc_spawn_cells(cfg, rng, placed, walls):
-    """Every interior 32-px cell clear of walls and footprints, three
-    cells or more from every agent and base; then rng.sample."""
-    cells = set(walls.cells)
-    free = [
-        p
-        for p in (Pos(cx * 32, cy * 32) for cy in range(2, 14) for cx in range(2, 14))
-        if not set_overlaps(cells, p.x, p.y, 32, 32)
-        and first_overlapping(placed, p.x, p.y, 32, 32) is None
-        and all(max(abs(p.x - q.x), abs(p.y - q.y)) >= 96 for _, q in placed)
-    ]
-    if cfg.n_npcs > len(free):
-        raise StageLoadError(f"cannot place {cfg.n_npcs} NPC tanks; only {len(free)} free cells")
-    return rng.sample(free, cfg.n_npcs)
-
-
-def reference_scatter_walls(grid, cfg, rng, placed):
-    """Cluster by cluster on a plain set: randint draws, and a cluster
-    is dropped when it overlaps an NPC footprint, or an agent or base
-    footprint grown by 32 px on every side."""
-    cells = set(grid.cells)
-    budget = int(cfg.wall_density * 64 * 64)
-    npcs = [p for p in placed if p.name.startswith("npc")]
-    spawns = [p for p in placed if not p.name.startswith("npc")]
-    attempts = 0
-    while len(cells) < budget and attempts < 1200:
-        attempts += 1
-        w = rng.randint(2, 4)
-        h = rng.randint(2, 4)
-        cx = rng.randint(0, 64 - w)
-        cy = rng.randint(0, 64 - h)
-        x, y, pw, ph = cx * 8, cy * 8, w * 8, h * 8
-        if first_overlapping(npcs, x, y, pw, ph) or first_overlapping(
-            spawns, x - 32, y - 32, pw + 64, ph + 64
-        ):
-            continue
-        cells.update((cx + dx, cy + dy) for dy in range(h) for dx in range(w))
-    for cell in cells - grid.cells:
-        grid.add(*cell)
-
-
-def reference_load(stage_id, seed, overrides):
-    with mock.patch.object(stages, "_npc_spawn_cells", reference_npc_spawn_cells), \
-            mock.patch.object(stages, "_scatter_walls", reference_scatter_walls):
-        return load_stage(stage_id, seed, overrides)
 
 
 seeds = st.one_of(

@@ -1,4 +1,4 @@
-"""``WallGrid`` against a plain set of (cx, cy) cells.
+"""``WallGrid`` against ``SetWalls``, a plain set of (cx, cy) cells.
 
 Random sequences of ``add``, ``remove`` and ``fill`` run on a grid and on
 the set side by side; between edits every query of the grid must give
@@ -10,14 +10,13 @@ windows (so cached column text must follow each edit), ``len``, ``in``,
 
 from __future__ import annotations
 
-import random
-import struct
-
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from bab.prompts import MAP_WINDOW, _ahead, _window
 from bab.types import TANK_SIZE, WallGrid
+
+from reference import SetWalls, cell_sets
 
 lattice = st.integers(min_value=0, max_value=63)
 pixel = st.integers(min_value=-40, max_value=560)
@@ -37,54 +36,20 @@ def edits(draw):
     return kind, min(draw(lattice), 64 - w), min(draw(lattice), 64 - h), w, h
 
 
-@st.composite
-def cell_sets(draw):
-    """Every lattice cell present with one drawn probability."""
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
-    density = draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.9, 1.0]))
-    return {(x, y) for x in range(64) for y in range(64) if rng.random() < density}
-
-
-def apply(grid: WallGrid, model: set, edit: tuple) -> None:
-    kind, cx, cy, *size = edit
-    getattr(grid, kind)(cx, cy, *size)
-    if kind == "add":
-        model.add((cx, cy))
-    elif kind == "remove":
-        model.discard((cx, cy))
-    else:
-        w, h = size
-        model.update((cx + dx, cy + dy) for dx in range(w) for dy in range(h))
-
-
-def model_first_in_rect(model, x, y, w, h):
-    """Row-major scan of the lattice cells that the rect intersects."""
-    for cy in range(max(0, y // 8), min(63, (y + h - 1) // 8) + 1):
-        for cx in range(max(0, x // 8), min(63, (x + w - 1) // 8) + 1):
-            if (cx, cy) in model:
-                return (cx, cy)
-    return None
-
-
-def model_text(model, xs, ys):
-    return ", ".join(f"({cx * 8}, {cy * 8})" for cx in xs for cy in ys if (cx, cy) in model)
-
-
-def check_queries(grid: WallGrid, model: set, data) -> None:
+def check_queries(grid: WallGrid, model: SetWalls, data) -> None:
     assert len(grid) == len(model)
-    assert grid.cells == model
+    assert grid.cells == model.cells
     for cell in data.draw(st.lists(st.tuples(st.integers(-2, 65), st.integers(-2, 65)),
                                    max_size=8)):
         assert (cell in grid) == (cell in model)
     for x, y in data.draw(st.lists(st.tuples(pixel, pixel), max_size=8)):
-        cell = (x // 8, y // 8)
-        assert grid.cell_at(x, y) == (cell if cell in model else None)
+        assert grid.cell_at(x, y) == model.cell_at(x, y)
     for x, y, w, h in data.draw(st.lists(st.tuples(pixel, pixel, span, span), max_size=8)):
-        first = model_first_in_rect(model, x, y, w, h)
+        first = model.first_in_rect(x, y, w, h)
         assert grid.first_in_rect(x, y, w, h) == first
         assert grid.overlaps_rect(x, y, w, h) == (first is not None)
     for xs, ys in data.draw(st.lists(st.tuples(index_range, index_range), max_size=4)):
-        assert grid.cells_text(xs, ys) == model_text(model, xs, ys)
+        assert grid.cells_text(xs, ys) == model.cells_text(xs, ys)
     # the windows a navigation prompt reads: the half-plane ahead of a tank
     reach = MAP_WINDOW + TANK_SIZE // 2
     for cx, cy, (dx, dy) in data.draw(st.lists(st.tuples(
@@ -92,19 +57,18 @@ def check_queries(grid: WallGrid, model: set, data) -> None:
             st.sampled_from([(0, -1), (0, 1), (-1, 0), (1, 0), (0, 0)])), max_size=4)):
         xs = _ahead(_window(cx, reach), cx, dx)
         ys = _ahead(_window(cy, reach), cy, dy)
-        assert grid.cells_text(xs, ys) == model_text(model, xs, ys)
-    cells = sorted(model)
-    assert grid.pack() == struct.pack(f"<i{2 * len(cells)}H", len(cells),
-                                      *(v for cell in cells for v in cell))
+        assert grid.cells_text(xs, ys) == model.cells_text(xs, ys)
+    assert grid.pack() == model.pack()
 
 
 @given(data=st.data(), initial=cell_sets())
 @settings(max_examples=200, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate])
 def test_wall_grid_matches_a_plain_set(data, initial):
-    grid, model = WallGrid(initial), set(initial)
+    grid, model = WallGrid(initial), SetWalls(initial)
     check_queries(grid, model, data)
     for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
-        for edit in data.draw(st.lists(edits(), max_size=12)):
-            apply(grid, model, edit)
+        for kind, *args in data.draw(st.lists(edits(), max_size=12)):
+            getattr(grid, kind)(*args)
+            getattr(model, kind)(*args)
         check_queries(grid, model, data)
